@@ -2,6 +2,8 @@
 
 * :class:`TopologyRuntime` — executes a :class:`~repro.core.topology.Topology`
   in exact (``logical``) or queueing-simulation (``timed``) mode.
+* :class:`Runtime` — what the local and the sharded runtime share;
+  :class:`Ingress` — the arrival contract every runtime admits through.
 * :class:`AdaptiveRuntime` — epoch-based re-optimizing runtime (Section VI).
 * :func:`reference_join` — brute-force oracle used by the test suite.
 """
@@ -9,6 +11,7 @@
 from .adaptivity import AdaptivityLoop
 from .columnar import ColumnarContainer, VectorBatch
 from .epochs import AdaptiveRuntime
+from .ingress import Ingress
 from .metrics import EngineMetrics
 from .profiles import CLASH_PROFILE, FLINK_PROFILE, STORM_PROFILE, EngineProfile
 from .reference import describe_result_diff, reference_join, result_keys
@@ -23,6 +26,7 @@ from .sharding import ShardFailedError, ShardRouter, ShardedRuntime
 from .runtime import (
     LateArrivalError,
     MemoryOverflowError,
+    Runtime,
     RuntimeConfig,
     TopologyRuntime,
 )
@@ -49,10 +53,12 @@ __all__ = [
     "EngineProfile",
     "EpochStatistics",
     "FLINK_PROFILE",
+    "Ingress",
     "LateArrivalError",
     "MemoryOverflowError",
     "STORE_BACKENDS",
     "RewirableRuntime",
+    "Runtime",
     "RuntimeConfig",
     "STORM_PROFILE",
     "ShardFailedError",

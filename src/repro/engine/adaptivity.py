@@ -12,8 +12,9 @@ parallel stacks.  :class:`AdaptivityLoop` is the single shared loop:
   — at epoch boundaries (``advance``) with the Figure-5 two-epoch delay,
   or immediately (``rewire``) for query churn and explicit
   re-optimization,
-* it **installs** every resulting plan change through the one
-  :meth:`RewirableRuntime.install` path, so state migration, backfill,
+* it **installs** every resulting plan change through the attached
+  runtime's one ``install`` path (:class:`~repro.engine.runtime.Runtime` —
+  local or sharded), so state migration, backfill,
   watermark seeding and ``store_backend="auto"`` reselection ride every
   switch regardless of what triggered it.
 
@@ -38,7 +39,8 @@ from .statistics import EpochStatistics
 from .tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .rewiring import RewirableRuntime, SwitchRecord
+    from .rewiring import SwitchRecord
+    from .runtime import Runtime
 
 __all__ = ["AdaptivityLoop"]
 
@@ -84,7 +86,7 @@ class AdaptivityLoop:
         self.stats_window = stats_window
         self.measure = measure
         self.pre_decide = pre_decide
-        self.runtime: Optional["RewirableRuntime"] = None
+        self.runtime: Optional["Runtime"] = None
         #: invoked after an epoch-boundary decision *changed* the plan
         #: (the session refreshes its introspection state here)
         self.on_change: Optional[Callable[[], None]] = None
@@ -96,7 +98,7 @@ class AdaptivityLoop:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def attach(self, runtime: "RewirableRuntime") -> None:
+    def attach(self, runtime: "Runtime") -> None:
         """Bind the runtime whose ``install()`` every change routes through."""
         self.runtime = runtime
 

@@ -24,16 +24,16 @@ Two subsystems drive installs: the epoch-based :class:`~repro.engine.epochs.Adap
 (statistics-triggered plan switches) and the session facade
 (:class:`repro.JoinSession`), whose online ``add_query`` / ``remove_query``
 replan between pushed tuples.  Watermark mode composes with rewiring: the
-arrival-sequence counter and per-stream high waters live on the runtime and
-survive the switch, and backfilled intermediates carry the max-merged
-arrival sequence of their components, so seq-based probe visibility stays
-exact across a rewire.
+arrival-sequence counter and per-stream high waters live on the runtime's
+:class:`~repro.engine.ingress.Ingress` and survive the switch, and
+backfilled intermediates carry the max-merged arrival sequence of their
+components, so seq-based probe visibility stays exact across a rewire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.adaptive import TopologyDiff, diff_topologies
 from ..core.probe_order import maintenance_query
@@ -102,40 +102,27 @@ class SwitchRecord:
 
 
 class RewirableRuntime(TopologyRuntime):
-    """A runtime whose topology can be atomically replaced mid-stream."""
+    """A runtime whose topology can be atomically replaced mid-stream.
+
+    Snapshots (:meth:`dump_state`) do not persist the archives: a restored
+    runtime is constructed from the snapshot's installed topology, so its
+    archives already describe every live edge/rule/store, and in-flight
+    messages (the only consumers of stale archive entries, timed mode)
+    cannot exist across a logical-mode snapshot boundary.
+    """
 
     def __init__(
         self,
         topology: Topology,
         windows: Dict[str, float],
         config: Optional[RuntimeConfig] = None,
+        sink: Optional[Callable[[str, StreamTuple], None]] = None,
     ) -> None:
-        super().__init__(topology, windows, config)
-        self.switches: List[SwitchRecord] = []
+        super().__init__(topology, windows, config, sink)
         self._edge_archive: Dict[str, EdgeSpec] = dict(topology.edges)
         self._rule_archive: Dict[Tuple[str, str], List[Rule]] = {}
         self._store_archive: Dict[str, StoreSpec] = dict(topology.stores)
         self._archive_rules(topology)
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-    # ------------------------------------------------------------------
-    def dump_state(self) -> Dict[str, Any]:
-        """Runtime snapshot plus the rewire history (checkpoint support).
-
-        Archives are *not* persisted: a restored runtime is constructed
-        from the snapshot's installed topology, so its archives already
-        describe every live edge/rule/store, and in-flight messages (the
-        only consumers of stale archive entries, timed mode) cannot exist
-        across a logical-mode snapshot boundary.
-        """
-        state = super().dump_state()
-        state["switches"] = list(self.switches)
-        return state
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        super().load_state(state)
-        self.switches = list(state.get("switches", []))
 
     # ------------------------------------------------------------------
     # reconfiguration
@@ -164,24 +151,7 @@ class RewirableRuntime(TopologyRuntime):
         self._check_window_growth(diff, topology, now)
         if windows:
             self.windows.update(windows)
-        # Watermark mode: an ingest stream the *old* topology did not read
-        # — brand new, or released and now re-added — has no (or a stale)
-        # high water, which would pin the global watermark at -inf (or at
-        # its pre-removal past), suspending eviction everywhere and
-        # accepting stragglers whose join partners are long evicted.  Its
-        # floor is the current watermark: no stored state below it exists,
-        # so a first/returning push must carry an event timestamp >= the
-        # watermark anyway.  Streams the old watermark already covered
-        # satisfy high >= mark + bound, so the max() is a no-op for them.
-        if self._seq_visibility:
-            mark = self.watermark()
-            if mark != float("-inf"):
-                bound = self.config.disorder_bound or 0.0
-                for relation in topology.ingest:
-                    self._stream_high[relation] = max(
-                        self._stream_high.get(relation, float("-inf")),
-                        mark + bound,
-                    )
+        self.ingress.floor(self.topology.ingest, topology.ingest)
         for store_id in diff.added:
             spec = topology.stores[store_id]
             self.tasks[store_id] = [

@@ -36,16 +36,18 @@ Hot-path design (see docs/engine.md):
 
 Out-of-order arrivals (watermark mode, logical only): setting
 ``RuntimeConfig.disorder_bound`` declares that event timestamps within each
-input stream lag its arrival order by at most that bound.  The runtime then
+input stream lag its arrival order by at most that bound.  The arrival
+contract itself — order check, arrival sequence numbers, per-stream high
+waters, the watermark — is owned by :class:`~repro.engine.ingress.Ingress`
+(``runtime.ingress``); the runtime then
 
-* assigns every input a wall-clock arrival sequence number and decides
-  probe visibility by it (``seq_visibility`` in :func:`probe_batch`) —
-  a stored partner may carry a later event timestamp than the probing
-  tuple, as long as it *arrived* earlier,
-* tracks a per-stream high-water event timestamp; the global *watermark*
-  (min over ingest streams of high water − bound) replaces the current
-  event time as the eviction reference, so partners a late straggler still
-  needs are retained until the watermark passes them,
+* decides probe visibility by the arrival sequence number
+  (``seq_visibility`` in :func:`probe_batch`) — a stored partner may carry
+  a later event timestamp than the probing tuple, as long as it *arrived*
+  earlier,
+* evicts against the global *watermark* (min over ingest streams of high
+  water − bound) instead of the current event time, so partners a late
+  straggler still needs are retained until the watermark passes them,
 * rejects inputs that violate the declared bound (late beyond watermark)
   instead of silently dropping results.
 
@@ -64,7 +66,9 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -73,11 +77,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
 from ..core.topology import EdgeSpec, ProbeRule, Rule, StoreRule, StoreSpec, Topology
 from .columnar import ColumnarContainer, VectorBatch
+from .ingress import Ingress, LateArrivalError
 from .metrics import EngineMetrics
 from .profiles import CLASH_PROFILE, EngineProfile
 from .routing import stable_hash, target_tasks
@@ -91,6 +97,11 @@ from .stores import (
 )
 from .tuples import StreamTuple
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .rewiring import SwitchRecord
+
+_R = TypeVar("_R", bound="Runtime")
+
 #: timed-mode event heap entry: (event time, tie-break seq, kind, payload)
 #: where payload is the coalesced input group for ``"input"`` events and
 #: ``(edge label, store id, task index, tuple)`` for ``"msg"`` events
@@ -98,77 +109,15 @@ _TimedEvent = Tuple[float, int, str, Tuple[Any, ...]]
 
 __all__ = [
     "LateArrivalError",
+    "Runtime",
     "RuntimeConfig",
     "TopologyRuntime",
     "MemoryOverflowError",
-    "global_watermark",
-    "validate_arrival",
 ]
 
 
 class MemoryOverflowError(RuntimeError):
     """A worker exceeded its memory budget (stored state + queued tuples)."""
-
-
-class LateArrivalError(ValueError):
-    """An input violated the arrival-order contract (see
-    :func:`validate_arrival`).
-
-    A distinct type so callers with a drop-straggler policy (the session's
-    ``on_late="drop"``) can suppress exactly this rejection without
-    swallowing unrelated ``ValueError``\\ s from the processing cascade.
-    """
-
-
-def validate_arrival(
-    trigger: str,
-    ts: float,
-    last_ts: float,
-    stream_high: Dict[str, float],
-    bound: Optional[float],
-) -> None:
-    """The arrival-order contract, shared by the runtime and the session.
-
-    Ordered mode (``bound is None``): event timestamps must be
-    non-decreasing.  Watermark mode: a tuple may lag its *own* stream's
-    high-water event timestamp by at most ``bound`` — a straggler beyond
-    that would silently lose results, so it is rejected loudly instead.
-    Raises :class:`LateArrivalError` (a ``ValueError``); callers update
-    their order state only after this passes.
-    """
-    if bound is None:
-        if ts < last_ts:
-            raise LateArrivalError("inputs must be sorted by timestamp")
-    else:
-        high = stream_high.get(trigger)
-        if high is not None and ts < high - bound:
-            raise LateArrivalError(
-                f"tuple of {trigger!r} at τ={ts:g} arrived "
-                f"{high - ts:g} behind the stream high water "
-                f"{high:g}, exceeding disorder_bound={bound:g}"
-            )
-
-
-def global_watermark(
-    ingest: Iterable[str], stream_high: Dict[str, float], bound: Optional[float]
-) -> float:
-    """Low watermark over ``ingest`` streams given per-stream high waters.
-
-    Shared by the single-process runtime and the sharded driver (which owns
-    the authoritative high waters and ships snapshots to its workers): the
-    minimum high water minus the disorder bound, or ``-inf`` while any
-    ingest stream has not produced a tuple yet.
-    """
-    mark = float("inf")
-    for relation in ingest:
-        seen = stream_high.get(relation)
-        if seen is None:
-            return float("-inf")
-        if seen < mark:
-            mark = seen
-    if mark == float("inf"):
-        return float("-inf")
-    return mark - (bound or 0.0)
 
 
 @dataclass
@@ -261,7 +210,147 @@ class RuntimeConfig:
                 raise ValueError("disorder_bound must be >= 0")
 
 
-class TopologyRuntime:
+class Runtime:
+    """What every runtime is, whether it runs the cascades in this process
+    (:class:`TopologyRuntime` and its subclasses) or fans them out to
+    shard workers (:class:`~repro.engine.sharding.ShardedRuntime`).
+
+    The shared state — deployed topology, windows, configuration, metrics,
+    collected outputs, the :class:`~repro.engine.ingress.Ingress`, the
+    rewire log — and the code that does not depend on where cascades run
+    live here: the admission prologue of ``process``, the one ``_emit``,
+    ``run`` / ``results`` / ``watermark``, and the context-manager
+    protocol.  Subclasses supply ``process`` / ``flush`` / ``close`` /
+    ``stored_tuples_total`` / ``dump_state`` / ``load_state``, and
+    ``install`` where the topology can be replaced mid-stream.
+
+    ``sink(query, result)``, when given, receives every emitted result
+    after it was counted and collected — how a session reaches its
+    subscribers and a shard worker logs emissions for its driver.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        windows: Dict[str, float],
+        config: RuntimeConfig,
+        sink: Optional[Callable[[str, StreamTuple], None]] = None,
+    ) -> None:
+        self.topology = topology
+        self.windows = dict(windows)
+        self.config = config
+        self.metrics = EngineMetrics()
+        self.outputs: Dict[str, List[StreamTuple]] = {}
+        self.ingress = Ingress(config.disorder_bound)
+        #: installed reconfigurations (stays empty on a runtime that
+        #: deploys one topology for its lifetime)
+        self.switches: List[SwitchRecord] = []
+        self._sink = sink
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # supplied by the subclasses
+    # ------------------------------------------------------------------
+    def process(self, tup: StreamTuple) -> None:
+        """Admit one input tuple (:meth:`_admit`) and run or route it."""
+        raise NotImplementedError
+
+    def flush(self) -> None:
+        """Run all deferred work to completion: afterwards every pushed
+        tuple's results have been emitted."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Flush and release what the runtime holds (idempotent)."""
+        raise NotImplementedError
+
+    def stored_tuples_total(self) -> int:
+        raise NotImplementedError
+
+    def install(
+        self,
+        topology: Topology,
+        now: float,
+        epoch: int = 0,
+        windows: Optional[Dict[str, float]] = None,
+    ) -> SwitchRecord:
+        """Replace the deployed topology, migrating live store state."""
+        raise NotImplementedError(
+            f"{type(self).__name__} deploys one topology for its lifetime"
+        )
+
+    def dump_state(self) -> Dict[str, Any]:
+        """Full snapshot; carries the arrival contract as ``"ingress"``."""
+        raise NotImplementedError
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Restore a freshly constructed runtime from :meth:`dump_state`."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # shared
+    # ------------------------------------------------------------------
+    def run(self, inputs: Iterable[StreamTuple]) -> EngineMetrics:
+        """Process input tuples in arrival order, then flush.
+
+        Without ``disorder_bound`` the arrival order must coincide with the
+        event-timestamp order (sorted inputs); in watermark mode the feed
+        is consumed as the wall-clock arrival sequence and event timestamps
+        may stray behind each stream's high water by up to the bound.
+        """
+        for tup in inputs:
+            if self.metrics.failed:
+                break
+            self.process(tup)
+        self.flush()
+        return self.metrics
+
+    def results(self, query_name: str) -> List[StreamTuple]:
+        return self.outputs.get(query_name, [])
+
+    def watermark(self) -> float:
+        """Global low watermark of the deployed topology's ingest streams
+        (:meth:`~repro.engine.ingress.Ingress.watermark`)."""
+        return self.ingress.watermark(self.topology.ingest)
+
+    def _admit(self, tup: StreamTuple) -> bool:
+        """The admission prologue of every ``process``: ``False`` means
+        the tuple must not be processed.
+
+        A failed runtime ignores further pushes (stop-at-failure; inspect
+        ``metrics.failed`` / ``metrics.failure_reason``).  A tuple the
+        ingress rejects surfaces :class:`LateArrivalError`, or under
+        ``on_late="drop"`` is counted in ``metrics.late_dropped`` and
+        discarded — the rejection precedes any state mutation, so the
+        engine is left exactly as if the tuple never arrived (it is not
+        counted in ``inputs_ingested``).
+        """
+        if self.metrics.failed:
+            return False
+        try:
+            self.ingress.admit(tup)
+        except LateArrivalError:
+            if self.config.on_late == "drop":
+                self.metrics.late_dropped += 1
+                return False
+            raise
+        return True
+
+    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
+        self.metrics.on_result(query, completion_ts, result.trigger_ts)
+        if self.config.collect_outputs:
+            self.outputs.setdefault(query, []).append(result)
+        if self._sink is not None:
+            self._sink(query, result)
+
+    def __enter__(self: _R) -> _R:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class TopologyRuntime(Runtime):
     """Deploys a topology and pushes input streams through it."""
 
     def __init__(
@@ -269,18 +358,15 @@ class TopologyRuntime:
         topology: Topology,
         windows: Dict[str, float],
         config: Optional[RuntimeConfig] = None,
+        sink: Optional[Callable[[str, StreamTuple], None]] = None,
     ) -> None:
-        self.topology = topology
-        self.windows = dict(windows)
-        self.config = config or RuntimeConfig()
+        super().__init__(topology, windows, config or RuntimeConfig(), sink)
         if self.config.workers > 1:
             raise ValueError(
                 "workers > 1 needs the sharded driver: construct a "
                 "repro.engine.sharding.ShardedRuntime (or pass workers= to "
                 "JoinSession) instead of a TopologyRuntime"
             )
-        self.metrics = EngineMetrics()
-        self.outputs: Dict[str, List[StreamTuple]] = {}
         self.tasks: Dict[str, List[StoreTask]] = {}
         self._storage_edges: Dict[str, bool] = {}
         self._queue_units = 0.0
@@ -297,17 +383,16 @@ class TopologyRuntime:
             Tuple[ProbeRule, Tuple[Tuple[str, str], ...]],
         ] = {}
         self._uniform_window = self._compute_uniform_window()
-        #: watermark mode: seq-based probe visibility + per-stream high water
+        #: watermark mode: probe visibility by arrival seq, eviction against
+        #: the watermark
         self._seq_visibility = self.config.disorder_bound is not None
-        self._arrival_seq = 0
-        self._stream_high: Dict[str, float] = {}
         # Push-driver state (logical mode): the pending same-relation
-        # micro-batch and the strict-order high water.  Cross-input batching
-        # requires the default per-input hooks: an overridden boundary hook
-        # (adaptive plan switches) must observe a fully processed prefix
-        # before every input.  A memory budget also disables it — the seed
-        # checked the limit after every input, and deferring cascades would
-        # overshoot the failure point by up to a whole batch.
+        # micro-batch.  Cross-input batching requires the default per-input
+        # hooks: an overridden boundary hook (adaptive plan switches) must
+        # observe a fully processed prefix before every input.  A memory
+        # budget also disables it — the seed checked the limit after every
+        # input, and deferring cascades would overshoot the failure point
+        # by up to a whole batch.
         self._batchable = (
             type(self).on_input_boundary is TopologyRuntime.on_input_boundary
             and type(self).on_ingest is TopologyRuntime.on_ingest
@@ -316,8 +401,6 @@ class TopologyRuntime:
         )
         self._group: List[StreamTuple] = []
         self._group_rel: Optional[str] = None
-        self._last_ts = float("-inf")
-        self._closed = False
         self._install_stores(topology)
         self._publish_backend_choices()
 
@@ -391,21 +474,12 @@ class TopologyRuntime:
     # public API
     # ------------------------------------------------------------------
     def run(self, inputs: Iterable[StreamTuple]) -> EngineMetrics:
-        """Process input tuples in arrival order.
-
-        Without ``disorder_bound`` the arrival order must coincide with the
-        event-timestamp order (sorted inputs); in watermark mode the feed
-        is consumed as the wall-clock arrival sequence and event timestamps
-        may stray behind each stream's high water by up to the bound.
-        """
+        """Process input tuples in arrival order (see :meth:`Runtime.run`);
+        timed mode builds its event heap from the whole feed instead."""
         if self.config.mode == "logical":
-            self._run_logical(inputs)
-        else:
-            self._run_timed(inputs)
+            return super().run(inputs)
+        self._run_timed(inputs)
         return self.metrics
-
-    def results(self, query_name: str) -> List[StreamTuple]:
-        return self.outputs.get(query_name, [])
 
     def stored_tuples_total(self) -> int:
         return sum(
@@ -426,12 +500,6 @@ class TopologyRuntime:
         self._closed = True
         if not self.metrics.failed:
             self.flush()
-
-    def __enter__(self) -> "TopologyRuntime":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # checkpoint/restore
@@ -457,7 +525,8 @@ class TopologyRuntime:
         return self.stored_tuples_total()
 
     def dump_state(self) -> Dict[str, Any]:
-        """Full runtime snapshot: store state plus the push-driver counters.
+        """Full runtime snapshot: store state, the push-driver counters and
+        the rewire log.
 
         Deferred micro-batches are flushed first, so the snapshot contains
         no half-processed cascades; the snapshot shares the live metrics
@@ -468,13 +537,12 @@ class TopologyRuntime:
         return {
             "kind": "single",
             "tasks": self.dump_tasks(),
-            "arrival_seq": self._arrival_seq,
-            "stream_high": dict(self._stream_high),
-            "last_ts": self._last_ts,
+            "ingress": self.ingress.dump(),
             "epoch": self._epoch,
             "ops_since_evict": self._ops_since_evict,
             "outputs": {q: list(r) for q, r in self.outputs.items()},
             "metrics": self.metrics,
+            "switches": list(self.switches),
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
@@ -492,12 +560,11 @@ class TopologyRuntime:
             )
         self.metrics = state["metrics"]
         restored = self.load_tasks(state["tasks"])
-        self._arrival_seq = int(state["arrival_seq"])
-        self._stream_high = dict(state["stream_high"])
-        self._last_ts = state["last_ts"]
+        self.ingress.load(state["ingress"])
         self._epoch = int(state["epoch"])
         self._ops_since_evict = int(state["ops_since_evict"])
         self.outputs = {q: list(r) for q, r in state["outputs"].items()}
+        self.switches = list(state["switches"])
         self.metrics.on_restore(restored)
 
     # ------------------------------------------------------------------
@@ -507,56 +574,21 @@ class TopologyRuntime:
         """Push one input tuple through the logical pipeline.
 
         This is the incremental entry point behind :meth:`run` and the
-        :class:`~repro.session.JoinSession` facade: arrival-order validation
-        (strict timestamp order, or the watermark bound), arrival-sequence
-        assignment, and micro-batch accumulation all happen here.  A cascade
-        may be *deferred* until the pending same-relation micro-batch flushes
+        :class:`~repro.session.JoinSession` facade: admission (arrival-order
+        validation and arrival-sequence assignment, :meth:`Runtime._admit`)
+        and micro-batch accumulation happen here.  A cascade may be
+        *deferred* until the pending same-relation micro-batch flushes
         (relation change, full batch, or an explicit :meth:`flush`), which
         never changes result sets — only when they materialize.
-
-        A failed runtime (memory overflow) ignores further pushes, matching
-        the batch driver's stop-at-failure semantics; inspect
-        ``metrics.failed`` / ``metrics.failure_reason``.
         """
         if self.config.mode != "logical":
             raise RuntimeError(
                 "push-based processing requires logical mode; the timed "
                 "simulator needs the whole feed to build its event heap"
             )
-        if self.metrics.failed:
+        if not self._admit(tup):
             return
         ts = tup.trigger_ts
-        bound = self.config.disorder_bound
-        try:
-            validate_arrival(
-                tup.trigger, ts, self._last_ts, self._stream_high, bound
-            )
-        except LateArrivalError:
-            if self.config.on_late == "drop":
-                # the rejection precedes any state mutation, so dropping
-                # here leaves the engine exactly as if the tuple never
-                # arrived; it is not counted in inputs_ingested
-                self.metrics.late_dropped += 1
-                return
-            raise
-        if bound is None:
-            self._last_ts = ts
-        else:
-            # Watermark mode: arrival order is the push/feed order.  Assign
-            # the arrival sequence (probe visibility) and advance the
-            # per-stream high water (eviction watermark).  A nonzero seq was
-            # assigned upstream (the sharded driver sequences tuples before
-            # fanning them out to workers) and is trusted; the local counter
-            # stays monotone so mixed use keeps a total order.
-            if tup.seq:
-                if tup.seq > self._arrival_seq:
-                    self._arrival_seq = tup.seq
-            else:
-                self._arrival_seq += 1
-                tup.seq = self._arrival_seq
-            high = self._stream_high.get(tup.trigger)
-            if high is None or ts > high:
-                self._stream_high[tup.trigger] = ts
         if self._batchable:
             if self._group and (
                 tup.trigger != self._group_rel
@@ -587,13 +619,6 @@ class TopologyRuntime:
             group, relation = self._group, self._group_rel
             self._group, self._group_rel = [], None
             self._flush_group(relation, group)
-
-    def _run_logical(self, inputs: Iterable[StreamTuple]) -> None:
-        for tup in inputs:
-            if self.metrics.failed:
-                break
-            self.process(tup)
-        self.flush()
 
     def _flush_group(self, relation: str, group: List[StreamTuple]) -> None:
         """Run the shared cascade of consecutive same-relation inputs.
@@ -941,11 +966,6 @@ class TopologyRuntime:
             return [stable_hash(tup.key()) % spec.parallelism]
         return targets
 
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        self.metrics.on_result(query, completion_ts, result.trigger_ts)
-        if self.config.collect_outputs:
-            self.outputs.setdefault(query, []).append(result)
-
     # ------------------------------------------------------------------
     # housekeeping
     # ------------------------------------------------------------------
@@ -967,18 +987,6 @@ class TopologyRuntime:
                 freed = task.evict(now)
                 if freed:
                     self.metrics.on_evict(freed)
-
-    def watermark(self) -> float:
-        """Global low watermark: no future event timestamp can be below it.
-
-        Per stream, bounded disorder guarantees future arrivals at or above
-        ``high water − disorder_bound``; the global watermark is the minimum
-        over every ingest stream.  Streams that have not produced a tuple
-        yet pin it at ``-inf`` (nothing can be evicted safely).
-        """
-        return global_watermark(
-            self.topology.ingest, self._stream_high, self.config.disorder_bound
-        )
 
     def _check_memory(self) -> None:
         limit = self.config.memory_limit_units

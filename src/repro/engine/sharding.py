@@ -30,8 +30,9 @@ makes sharding exact:
 
 Driver/worker split
 -------------------
-:class:`ShardedRuntime` is the driver.  It owns global arrival order:
-arrival validation (ordered or watermark contract, honouring
+:class:`ShardedRuntime` is the driver.  Its
+:class:`~repro.engine.ingress.Ingress` owns global arrival order: arrival
+validation (ordered or watermark contract, honouring
 ``RuntimeConfig.on_late``), arrival-sequence assignment, and the
 authoritative per-stream high waters.  Tuples are fanned out in batches
 over ``multiprocessing`` pipes together with a high-water snapshot; workers
@@ -89,15 +90,9 @@ from ..core.adaptive import TopologyDiff, diff_topologies
 from ..core.predicates import JoinPredicate
 from ..core.schema import Attribute
 from ..core.topology import Topology
-from .metrics import EngineMetrics
 from .rewiring import RewirableRuntime, SwitchRecord, compute_backfill
 from .routing import stable_hash
-from .runtime import (
-    LateArrivalError,
-    RuntimeConfig,
-    global_watermark,
-    validate_arrival,
-)
+from .runtime import Runtime, RuntimeConfig
 from .statistics import EpochStatistics
 from .tuples import StreamTuple
 
@@ -367,33 +362,6 @@ def _components(
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class _ShardWorkerRuntime(RewirableRuntime):
-    """One shard's runtime: pre-assigned seqs, shard-0 emission attribution."""
-
-    def __init__(
-        self,
-        topology: Topology,
-        windows: Dict[str, float],
-        config: RuntimeConfig,
-        shard: int,
-        partitioned: FrozenSet[str],
-    ) -> None:
-        super().__init__(topology, windows, config)
-        self._shard = shard
-        self._partitioned: FrozenSet[str] = partitioned
-        #: (query, result) in local completion order, merged by the driver
-        self.emission_log: List[Tuple[str, StreamTuple]] = []
-
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        # all-broadcast results materialize identically on every shard;
-        # shard 0 owns their emission (the cascade itself still ran here —
-        # replicated MIR stores stay complete)
-        if self._shard and not (result.lineage & self._partitioned):
-            return
-        super()._emit(query, result, completion_ts)
-        self.emission_log.append((query, result))
-
-
 class _SimulatedCrash(RuntimeError):
     """Inline-transport stand-in for a worker process dying mid-batch."""
 
@@ -422,7 +390,9 @@ class _WorkerState:
         #: so globally every accepted input is observed exactly once
         self.stats = EpochStatistics(epoch=0)
         self._crash_countdown: Optional[int] = None
-        self.runtime: _ShardWorkerRuntime
+        #: (query, result) in local completion order, merged by the driver
+        self.emission_log: List[Tuple[str, StreamTuple]] = []
+        self.runtime: RewirableRuntime
         self._build(topology, windows, {}, {})
 
     def _build(
@@ -432,11 +402,11 @@ class _WorkerState:
         highs: Dict[str, float],
         state: Dict[str, List[StreamTuple]],
     ) -> None:
-        self.runtime = _ShardWorkerRuntime(
-            topology, windows, self.config, self.shard, self.router.partitioned
+        self.runtime = RewirableRuntime(
+            topology, windows, self.config, sink=self._log_emission
         )
         runtime = self.runtime
-        runtime._stream_high.update(highs)
+        runtime.ingress.absorb(highs)
         width = 0
         for store_id, tuples in state.items():
             spec = topology.stores[store_id]
@@ -448,6 +418,20 @@ class _WorkerState:
         # inflating the flow counters the driver folds
         runtime.metrics.stored_units = width
         runtime.metrics.peak_stored_units = width
+
+    def _log_emission(self, query: str, result: StreamTuple) -> None:
+        """The worker runtime's sink: log what the driver will merge.
+
+        All-broadcast results materialize identically on every shard;
+        shard 0 owns their emission (the cascade itself still ran here —
+        replicated MIR stores stay complete).  The runtime has already
+        counted a suppressed result in its own ``results_emitted``, which
+        is harmless: the driver never folds that counter (``_FLOW_FIELDS``)
+        and counts results itself as it merges the logs.
+        """
+        if self.shard and not (result.lineage & self.router.partitioned):
+            return
+        self.emission_log.append((query, result))
 
     # ------------------------------------------------------------------
     def handle(self, msg: _Msg) -> Optional[_Msg]:
@@ -473,15 +457,15 @@ class _WorkerState:
             # every tuple shipped later was validated against highs at least
             # this recent, so the advanced eviction watermark stays safe
             if highs:
-                self._apply_highs(highs)
+                runtime.ingress.absorb(highs)
             return None
         if cmd == "drain":
             _, highs = msg
             runtime = self.runtime
             runtime.flush()
             if highs:
-                self._apply_highs(highs)
-            log, runtime.emission_log = runtime.emission_log, []
+                runtime.ingress.absorb(highs)
+            log, self.emission_log = self.emission_log, []
             metrics = runtime.metrics
             flow = {name: getattr(metrics, name) for name in _FLOW_FIELDS}
             flow["stored_units"] = metrics.stored_units
@@ -496,7 +480,6 @@ class _WorkerState:
             # plan may introduce relations whose routing (and therefore
             # emission attribution + stats dedup) only the fresh router knows
             self.router = router
-            self.runtime._partitioned = router.partitioned
             metrics = self.runtime.metrics
             pre_preserved = metrics.preserved_tuples
             pre_backfilled = metrics.backfilled_tuples
@@ -536,9 +519,7 @@ class _WorkerState:
                 "snapshot",
                 {
                     "tasks": runtime.dump_tasks(),
-                    "arrival_seq": runtime._arrival_seq,
-                    "stream_high": dict(runtime._stream_high),
-                    "last_ts": runtime._last_ts,
+                    "ingress": runtime.ingress.dump(),
                     "epoch": runtime._epoch,
                     "ops_since_evict": runtime._ops_since_evict,
                     "stored_units": runtime.metrics.stored_units,
@@ -549,13 +530,11 @@ class _WorkerState:
             _, topology, windows, shard_state, router = msg
             self.router = router
             self.stats = EpochStatistics(epoch=0)
-            runtime = _ShardWorkerRuntime(
-                topology, windows, self.config, self.shard, router.partitioned
+            runtime = RewirableRuntime(
+                topology, windows, self.config, sink=self._log_emission
             )
             restored = runtime.load_tasks(shard_state["tasks"])
-            runtime._arrival_seq = int(shard_state["arrival_seq"])
-            runtime._stream_high = dict(shard_state["stream_high"])
-            runtime._last_ts = shard_state["last_ts"]
+            runtime.ingress.load(shard_state["ingress"])
             runtime._epoch = int(shard_state["epoch"])
             runtime._ops_since_evict = int(shard_state["ops_since_evict"])
             # restored stored state is a level, not flow (same convention
@@ -574,13 +553,6 @@ class _WorkerState:
             self._crash_countdown = int(msg[1])
             return ("armed",)
         raise RuntimeError(f"unknown shard command {cmd!r}")
-
-    def _apply_highs(self, highs: Dict[str, float]) -> None:
-        stream_high = self.runtime._stream_high
-        for relation, ts in highs.items():
-            current = stream_high.get(relation)
-            if current is None or ts > current:
-                stream_high[relation] = ts
 
 
 def _shard_worker_main(
@@ -739,17 +711,15 @@ def _terminate_pool(shards: Iterable[_Transport]) -> None:
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
-class ShardedRuntime:
+class ShardedRuntime(Runtime):
     """Driver for hash-partitioned multi-process topology execution.
 
-    Mirrors the push-driver protocol of
-    :class:`~repro.engine.runtime.TopologyRuntime` /
-    :class:`~repro.engine.rewiring.RewirableRuntime` (``process`` /
-    ``flush`` / ``run`` / ``results`` / ``install`` / ``watermark`` /
-    ``stored_tuples_total``), so the session facade and the differential
-    harness drive it unchanged.  ``config.workers`` fixes the pool size;
-    ``transport="inline"`` runs the shard states in-process (deterministic,
-    fork-free — the semantics under test, minus the IPC).
+    A :class:`~repro.engine.runtime.Runtime` like
+    :class:`~repro.engine.rewiring.RewirableRuntime`, so the session facade
+    and the differential harness drive it unchanged.  ``config.workers``
+    fixes the pool size; ``transport="inline"`` runs the shard states
+    in-process (deterministic, fork-free — the semantics under test, minus
+    the IPC).
     """
 
     #: bound on any single worker sync (seconds); exceeding it fails the shard
@@ -762,14 +732,16 @@ class ShardedRuntime:
         config: Optional[RuntimeConfig] = None,
         transport: str = "process",
         stats_sink: Optional[Callable[[EpochStatistics], None]] = None,
+        sink: Optional[Callable[[str, StreamTuple], None]] = None,
     ) -> None:
         """``stats_sink`` enables shard-side statistics fold-back: each
         worker observes its accepted inputs into an
         :class:`~repro.engine.statistics.EpochStatistics` delta (broadcast
         relations deduped to shard 0) and every :meth:`flush` hands the
         per-worker deltas to the callable — how the adaptivity loop sees
-        sharded traffic.  ``None`` (default) disables collection."""
-        self.config = config or RuntimeConfig(workers=2)
+        sharded traffic.  ``None`` (default) disables collection.  ``sink``
+        receives every merged result (:class:`Runtime`)."""
+        super().__init__(topology, windows, config or RuntimeConfig(workers=2), sink)
         if self.config.mode != "logical":
             raise ValueError("sharded execution supports logical mode only")
         if self.config.memory_limit_units is not None:
@@ -779,18 +751,12 @@ class ShardedRuntime:
         if transport not in ("process", "inline"):
             raise ValueError(f"unknown transport {transport!r}")
         self.transport = transport
-        self.topology = topology
-        self.windows = dict(windows)
-        self.metrics = EngineMetrics()
-        self.outputs: Dict[str, List[StreamTuple]] = {}
-        self.switches: List[SwitchRecord] = []
+        # flush() merges the shards' emissions by arrival seq, so the
+        # driver numbers its inputs in ordered mode too
+        self.ingress.sequence = True
         self.router = ShardRouter.from_topology(topology, self.config.workers)
         self.num_shards = self.router.num_shards
 
-        self._seq_visibility = self.config.disorder_bound is not None
-        self._arrival_seq = 0
-        self._last_ts = float("-inf")
-        self._stream_high: Dict[str, float] = {}
         self._pending: List[List[StreamTuple]] = [
             [] for _ in range(self.num_shards)
         ]
@@ -800,7 +766,6 @@ class ShardedRuntime:
         ]
         self._stored: List[int] = [0] * self.num_shards
         self._stats_sink = stats_sink
-        self._closed = False
         # a worker runs the plain single-process engine on its shard
         self._worker_config = replace(
             self.config, workers=1, collect_outputs=False, on_late="raise"
@@ -833,39 +798,21 @@ class ShardedRuntime:
         ]
 
     # ------------------------------------------------------------------
-    # push driver (mirrors TopologyRuntime.process/flush/run)
+    # push driver
     # ------------------------------------------------------------------
     def process(self, tup: StreamTuple) -> None:
         """Validate, sequence, and route one input tuple to its shard(s).
 
         The driver owns the global arrival contract: late decisions are
-        made here against the authoritative per-stream high waters (workers
-        only ever see accepted tuples), and the assigned arrival seq is
-        trusted by every worker, so seq-based probe visibility is globally
-        consistent.
+        made here (:meth:`Runtime._admit`) against the authoritative
+        per-stream high waters — workers only ever see accepted tuples —
+        and the assigned arrival seq is trusted by every worker, so
+        seq-based probe visibility is globally consistent and the merge in
+        :meth:`flush` can order emissions by it in ordered mode too.
         """
-        if self.metrics.failed:
+        if not self._admit(tup):
             return
-        ts = tup.trigger_ts
-        bound = self.config.disorder_bound
-        try:
-            validate_arrival(
-                tup.trigger, ts, self._last_ts, self._stream_high, bound
-            )
-        except LateArrivalError:
-            if self.config.on_late == "drop":
-                self.metrics.late_dropped += 1
-                return
-            raise
-        if bound is None:
-            self._last_ts = ts
-        else:
-            high = self._stream_high.get(tup.trigger)
-            if high is None or ts > high:
-                self._stream_high[tup.trigger] = ts
-        self._arrival_seq += 1
-        tup.seq = self._arrival_seq
-        self.metrics.on_input(ts)
+        self.metrics.on_input(tup.trigger_ts)
         shard = self.router.shard_of(tup)
         if shard is None:
             for idx in range(self.num_shards):
@@ -884,8 +831,14 @@ class ShardedRuntime:
         if not pending:
             return
         self._pending[idx] = []
-        snapshot = dict(self._stream_high) if self._seq_visibility else None
-        self._send(idx, ("batch", pending, snapshot))
+        self._send(idx, ("batch", pending, self._highs()))
+
+    def _highs(self) -> Optional[Dict[str, float]]:
+        """High-water snapshot shipped with every batch and drain
+        (watermark mode only: ordered workers evict against event time)."""
+        if self.ingress.bound is None:
+            return None
+        return dict(self.ingress.stream_high)
 
     def flush(self) -> None:
         """Ship all pending batches, drain every worker, merge emissions.
@@ -898,8 +851,7 @@ class ShardedRuntime:
             return
         for idx in range(self.num_shards):
             self._ship(idx)
-        snapshot = dict(self._stream_high) if self._seq_visibility else None
-        replies = self._broadcast_collect(("drain", snapshot))
+        replies = self._broadcast_collect(("drain", self._highs()))
         merged: List[Tuple[int, int, int, str, StreamTuple]] = []
         for idx, reply in enumerate(replies):
             _, log, flow, stored, stats_delta = reply
@@ -914,33 +866,11 @@ class ShardedRuntime:
             self._emit(query, result, result.trigger_ts)
         self._refresh_counters()
 
-    def run(self, inputs: Iterable[StreamTuple]) -> EngineMetrics:
-        """Process input tuples in arrival order, then flush."""
-        for tup in inputs:
-            if self.metrics.failed:
-                break
-            self.process(tup)
-        self.flush()
-        return self.metrics
-
-    def results(self, query_name: str) -> List[StreamTuple]:
-        return self.outputs.get(query_name, [])
-
     def stored_tuples_total(self) -> int:
         """Live tuples across all shards (broadcast stores count once per
         replica — replication is real memory)."""
         self.flush()
         return sum(self._stored)
-
-    def watermark(self) -> float:
-        return global_watermark(
-            self.topology.ingest, self._stream_high, self.config.disorder_bound
-        )
-
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        self.metrics.on_result(query, completion_ts, result.trigger_ts)
-        if self.config.collect_outputs:
-            self.outputs.setdefault(query, []).append(result)
 
     def _refresh_counters(self) -> None:
         metrics = self.metrics
@@ -989,15 +919,7 @@ class ShardedRuntime:
         # same high-water floor for returning/new ingest streams as the
         # single-process install (the driver owns the authoritative highs;
         # workers re-derive theirs from the drain snapshot + local install)
-        if self._seq_visibility:
-            mark = self.watermark()
-            if mark != float("-inf"):
-                bound = self.config.disorder_bound or 0.0
-                for relation in topology.ingest:
-                    self._stream_high[relation] = max(
-                        self._stream_high.get(relation, float("-inf")),
-                        mark + bound,
-                    )
+        self.ingress.floor(self.topology.ingest, topology.ingest)
         new_router = ShardRouter.from_topology(
             topology, self.config.workers, prefer_class=self.router.class_key
         )
@@ -1072,7 +994,7 @@ class ShardedRuntime:
                 intermediates = compute_backfill(spec, streams, self.windows)
                 state[store_id] = intermediates
                 self.metrics.backfilled_tuples += len(intermediates)
-        highs = dict(self._stream_high)
+        highs = dict(self.ingress.stream_high)
         for idx in range(self.num_shards):
             shard_state = {
                 store_id: [
@@ -1121,9 +1043,7 @@ class ShardedRuntime:
             "workers": self.num_shards,
             "router_class": self.router.class_key,
             "shards": [reply[1] for reply in replies],
-            "arrival_seq": self._arrival_seq,
-            "stream_high": dict(self._stream_high),
-            "last_ts": self._last_ts,
+            "ingress": self.ingress.dump(),
             "outputs": {q: list(r) for q, r in self.outputs.items()},
             "metrics": self.metrics,
             "switches": list(self.switches),
@@ -1163,9 +1083,7 @@ class ShardedRuntime:
             )
         replies = self._collect_all()
         self.router = router
-        self._arrival_seq = int(state["arrival_seq"])
-        self._stream_high = dict(state["stream_high"])
-        self._last_ts = state["last_ts"]
+        self.ingress.load(state["ingress"])
         self.outputs = {q: list(r) for q, r in state["outputs"].items()}
         self.metrics = state["metrics"]
         self.switches = list(state["switches"])
@@ -1245,9 +1163,3 @@ class ShardedRuntime:
                     pass
         _terminate_pool(self._shards)
         self._finalizer.detach()
-
-    def __enter__(self) -> "ShardedRuntime":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -34,7 +34,7 @@ import json
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from ..engine.tuples import StreamTuple
-from ..session import JoinSession, SessionError
+from ..session import JoinSession
 
 __all__ = ["JoinServer", "ServiceClient"]
 
@@ -129,6 +129,7 @@ class JoinServer:
             raise RuntimeError("server already started")
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
         self._drain_task = asyncio.create_task(self._drain_loop())
+        self._drain_task.add_done_callback(self._on_drain_exit)
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port, limit=_FRAME_LIMIT
         )
@@ -147,9 +148,11 @@ class JoinServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._queue is not None:
-            await self._queue.join()
         if self._drain_task is not None:
+            # a dead drain task never marks queued items done: joining the
+            # queue would hang, and awaiting the task re-raises its error
+            if self._queue is not None and not self._drain_task.done():
+                await self._queue.join()
             self._drain_task.cancel()
             try:
                 await self._drain_task
@@ -283,23 +286,32 @@ class JoinServer:
             # saturated queue
             await asyncio.sleep(0)
 
+    def _on_drain_exit(self, task: "asyncio.Task[None]") -> None:
+        """The drain task is the only session caller: if it ever exits
+        other than by cancellation, nothing would answer again and every
+        client would wait forever — tell them and hang up instead."""
+        if task.cancelled():
+            return
+        reason = f"ingress drain task exited: {task.exception()!r}"
+        self.errors.append(reason)
+        for conn in list(self._conns):
+            conn.send({"kind": "error", "error": reason})
+            conn.writer.close()
+
     def _process_item(self, item: _PushItem) -> None:
         kind = item[0]
-        if kind == "push":
-            _, conn, fid, relation, values, ts, on_late, ack = item
+        if kind in ("push", "tuple"):
             try:
-                self.session.push(relation, values, ts, on_late)
-            except SessionError as exc:
-                self._report_error(conn, fid, exc)
-            else:
-                self.ingested += 1
-                if ack and conn is not None and fid is not None:
-                    conn.send({"kind": "ok", "id": fid, "pushed": self.session.pushed})
-        elif kind == "tuple":
-            _, conn, fid, tup, on_late, ack = item
-            try:
-                self.session.push_batch((tup,), on_late)
-            except SessionError as exc:
+                if kind == "push":
+                    _, conn, fid, relation, values, ts, on_late, ack = item
+                    self.session.push(relation, values, ts, on_late)
+                else:
+                    _, conn, fid, tup, on_late, ack = item
+                    self.session.push_batch((tup,), on_late)
+            except Exception as exc:  # noqa: BLE001 - surfaced to the client
+                # not only SessionError: a value the engine cannot hash or
+                # compare surfaces from the cascade as TypeError, and must
+                # cost its sender an error frame, not everyone the service
                 self._report_error(conn, fid, exc)
             else:
                 self.ingested += 1
@@ -583,9 +595,14 @@ class ServiceClient:
         triples: List[Tuple[str, Dict[str, Any], float]] = []
         for item in items:
             if isinstance(item, StreamTuple):
-                triples.append(
-                    (item.trigger, dict(item.values), float(item.trigger_ts))
-                )
+                # a tuple carries qualified names ("R.a"); the wire carries
+                # the unqualified ones the server qualifies again
+                prefix = item.trigger + "."
+                values = {
+                    name.removeprefix(prefix): value
+                    for name, value in item.values.items()
+                }
+                triples.append((item.trigger, values, float(item.trigger_ts)))
             else:
                 relation, values, ts = item
                 triples.append((str(relation), dict(values), float(ts)))

@@ -24,7 +24,9 @@ Key behaviours:
   time; the engine's micro-batched logical cascade runs underneath
   (:meth:`~repro.engine.runtime.TopologyRuntime.process`).  Ordered mode
   requires timestamp-sorted pushes; passing ``disorder_bound`` switches the
-  session to watermark mode with bounded out-of-order pushes.
+  session to watermark mode with bounded out-of-order pushes.  The arrival
+  contract is owned by the runtime's :class:`~repro.engine.ingress.Ingress`;
+  the session only maps its rejections to the ``on_late`` policy.
 * **Online query add/remove** — after tuples have flowed, ``add_query`` /
   ``remove_query`` re-run the shared-plan ILP (``solver="auto"`` falls back
   to the greedy planner for cyclic shapes), diff the old and new topologies,
@@ -77,10 +79,11 @@ from .core.predicates import JoinPredicate, as_predicate
 from .core.query import Query
 from .core.topology import Topology, build_topology
 from .engine.adaptivity import AdaptivityLoop
+from .engine.ingress import Ingress, LateArrivalError
 from .engine.metrics import EngineMetrics
 from .engine.reference import describe_result_diff, reference_join, result_keys
 from .engine.rewiring import RewirableRuntime, SwitchRecord
-from .engine.runtime import LateArrivalError, RuntimeConfig, validate_arrival
+from .engine.runtime import Runtime, RuntimeConfig
 from .engine.sharding import ShardedRuntime
 from .engine.statistics import EpochStatistics
 from .engine.tuples import StreamTuple, input_tuple
@@ -204,39 +207,6 @@ class VerificationReport:
             status = "OK" if c.ok else f"MISMATCH ({c.diff})"
             lines.append(f"{name}: {status} ({c.expected} results)")
         return "\n".join(lines) if lines else "no queries to verify"
-
-
-class _SessionRuntime(RewirableRuntime):
-    """Rewirable runtime that fans results out to session subscribers."""
-
-    def __init__(self, topology, windows, config, listeners):
-        super().__init__(topology, windows, config)
-        self._listeners: Dict[str, List[Callable]] = listeners
-
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        super()._emit(query, result, completion_ts)
-        for callback in self._listeners.get(query, ()):
-            callback(result)
-
-
-class _SessionShardedRuntime(ShardedRuntime):
-    """Sharded driver that fans merged results out to session subscribers.
-
-    Subscribers run on the driver side of the deterministic merge, so
-    callback order is reproducible and identical to the single-process
-    session (same seq order) regardless of worker scheduling.
-    """
-
-    def __init__(self, topology, windows, config, listeners, transport, stats_sink=None):
-        self._listeners: Dict[str, List[Callable]] = listeners
-        super().__init__(
-            topology, windows, config, transport=transport, stats_sink=stats_sink
-        )
-
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        super()._emit(query, result, completion_ts)
-        for callback in self._listeners.get(query, ()):
-            callback(result)
 
 
 class JoinSession:
@@ -477,12 +447,14 @@ class JoinSession:
                 f"'process' or 'inline'"
             )
         self._worker_transport = worker_transport
-        #: stragglers dropped / dead-lettered / late-admitted while the
-        #: warmup buffer was still filling (folded into the corresponding
-        #: metrics counters once the runtime exists)
-        self._warmup_late_dropped = 0
-        self._warmup_dead_lettered = 0
-        self._warmup_late_admitted = 0
+        #: the arrival contract while the warmup buffer is still filling;
+        #: once the runtime exists the session holds no order state of its
+        #: own and reads ``runtime.ingress``
+        self._warmup_ingress = Ingress(self._runtime_config.disorder_bound)
+        #: stragglers dropped / dead-lettered / late-admitted during the
+        #: warmup are tallied here and folded into the runtime's metrics
+        #: once it exists (``session.metrics`` stays ``None`` until then)
+        self._warmup_metrics = EngineMetrics()
         #: beyond-lateness stragglers, in arrival order (``on_late=
         #: "dead_letter"``); never recorded in the history, so the
         #: verification oracle sees exactly the admitted tuples
@@ -514,9 +486,6 @@ class JoinSession:
         self._loop.on_change = self._on_plan_change
         self._controller: Optional[AdaptiveController] = None
         self._last_measured: Optional[StatisticsCatalog] = None
-        self._first_ts: Optional[float] = None
-        self._last_ts = float("-inf")
-        self._stream_high: Dict[str, float] = {}
 
         # ingestion state
         self._pushed = 0
@@ -534,7 +503,7 @@ class JoinSession:
         # execution state
         self._listeners: Dict[str, List[Callable]] = {}
         self._cursors: Dict[str, int] = {}
-        self._runtime: Optional[Union[_SessionRuntime, _SessionShardedRuntime]] = None
+        self._runtime: Optional[Runtime] = None
         self._plan: Optional[SharedPlan] = None
         self._catalog: Optional[StatisticsCatalog] = None
 
@@ -732,136 +701,98 @@ class JoinSession:
             )
 
     def _ingest(self, tup: StreamTuple, on_late: Optional[str] = None) -> None:
-        """Validate arrival order, deliver, then record the accepted tuple.
+        """Admit, deliver, then record the accepted tuple.
 
-        The arrival-order contract is *owned by the runtime*
-        (:meth:`TopologyRuntime.process`); its rejection is translated into
-        :class:`LateTupleError` — or, under the ``"drop"`` late-tuple
-        policy, counted in ``metrics.late_dropped`` and discarded — before
-        any session state is touched.  Only the warmup path (no runtime
-        yet) checks the same contract session-side against the buffered
-        prefix.  Buffered tuples are tracked for *statistics* immediately
-        (the warmup plan needs them) but committed to the verification
-        history only as the drain processes them, so history always equals
-        what the engine ingested — even if the drain fails partway.
+        The arrival-order contract is *owned by the runtime's ingress*
+        (:class:`~repro.engine.ingress.Ingress`, behind
+        :meth:`~repro.engine.runtime.Runtime.process`); its rejection
+        precedes any state mutation and goes through :meth:`_reject`.
+        While a warmup is buffering there is no runtime yet, so the
+        session's private ingress takes the same verdicts; the drain
+        re-admits the buffered prefix through the runtime's own instance.
+        Buffered tuples are tracked for *statistics* immediately (the
+        warmup plan needs them) but committed to the verification history
+        only as the drain processes them, so history always equals what
+        the engine ingested — even if the drain fails partway.
         """
         policy = self.on_late if on_late is None else _check_on_late(on_late)
-        ts = tup.trigger_ts
-        if self._runtime is None:
-            try:
-                self._validate_order(tup.trigger, ts)
-            except LateTupleError:
-                if policy == "drop":
-                    self._warmup_late_dropped += 1
-                    return
-                if policy == "dead_letter":
-                    self._dead_letter(tup)
-                    return
-                raise
-            if self._is_late_admit(tup.trigger, ts):
-                self._warmup_late_admitted += 1
-            self._track_order(tup.trigger, ts)
+        runtime = self._runtime
+        if runtime is not None and runtime.metrics.failed:
+            # process() would silently drop the tuple; a facade that
+            # rejects every other bad push loudly must not go quiet here
+            raise EngineFailedError(
+                f"the engine has failed ({runtime.metrics.failure_reason}); "
+                f"the session no longer accepts pushes"
+            )
+        ingress = self._warmup_ingress if runtime is None else runtime.ingress
+        relation, ts = tup.trigger, tup.trigger_ts
+        try:
+            if runtime is None:
+                ingress.admit(tup)
+            else:
+                loop = self._loop
+                if loop.epoch_length is not None and (
+                    int(ts // loop.epoch_length) > loop.current_epoch
+                ):
+                    # cross any epoch boundary *before* this tuple is
+                    # delivered — the same ordering as AdaptiveRuntime's
+                    # on_input_boundary hook, so periodic decisions and
+                    # installs land at identical points of the feed.  Only a
+                    # boundary-crossing tuple pays the pre-check (it guards
+                    # a rejected straggler from triggering a boundary the
+                    # engine would not have crossed; a straggler's ts never
+                    # exceeds every accepted timestamp, so it can only
+                    # cross one spuriously, never legitimately).
+                    ingress.check(relation, ts)
+                    loop.advance(ts)
+                runtime.process(tup)
+        except LateArrivalError as exc:
+            self._reject(tup, policy, exc)
+            return
+        # an admitted tuple that rode the allowed_lateness grace lags its
+        # stream's high water by more than D — so it did not raise that
+        # high water, and reading the lag after admission is exact
+        if (
+            self.allowed_lateness > 0
+            and ingress.lag(relation, ts) > self.disorder_bound
+        ):
+            self._lateness_metrics().on_late_admit()
+        if runtime is None:
             self._loop.observe(tup)
             self._pending.append(tup)
             if self._pushed + len(self._pending) >= self.warmup:
                 self._start()
-        else:
-            metrics = self._runtime.metrics
-            if metrics.failed:
-                # process() would silently drop the tuple; a facade that
-                # rejects every other bad push loudly must not go quiet here
-                raise EngineFailedError(
-                    f"the engine has failed ({metrics.failure_reason}); "
-                    f"the session no longer accepts pushes"
-                )
-            loop = self._loop
-            if loop.epoch_length is not None and (
-                int(ts // loop.epoch_length) > loop.current_epoch
-            ):
-                # cross any epoch boundary *before* this tuple is
-                # delivered — the same ordering as AdaptiveRuntime's
-                # on_input_boundary hook, so periodic decisions and
-                # installs land at identical points of the feed.  Only a
-                # boundary-crossing tuple pays the pre-validation (it
-                # guards a rejected straggler from triggering a boundary
-                # the engine would not have crossed; a straggler's ts
-                # never exceeds every accepted timestamp, so it can only
-                # cross one spuriously, never legitimately).
-                try:
-                    self._validate_order(tup.trigger, ts)
-                except LateTupleError:
-                    if policy == "drop":
-                        metrics.on_late_drop()
-                        return
-                    if policy == "dead_letter":
-                        self._dead_letter(tup)
-                        return
-                    raise
-                loop.advance(ts)
-            # classify *before* processing: _record raises this stream's
-            # high water, which would hide the lag (a straggler's ts never
-            # raises the high water, so either order is correct for the
-            # rejected paths — only the admitted-late count needs this)
-            late_admit = self._is_late_admit(tup.trigger, ts)
-            try:
-                self._runtime.process(tup)
-            except LateArrivalError as exc:
-                # only the arrival-order rejection is translated/suppressed
-                # — it precedes any state mutation, so a rejected tuple
-                # leaves both engine and session untouched; any other error
-                # from the cascade propagates unswallowed
-                if policy == "drop":
-                    metrics.on_late_drop()
-                    return
-                if policy == "dead_letter":
-                    self._dead_letter(tup)
-                    return
-                raise LateTupleError(str(exc)) from exc
-            if late_admit:
-                metrics.on_late_admit()
-            self._record(tup)
-            if metrics.failed:
-                # this push was fully processed (and recorded) but tipped
-                # the engine over the limit — surface it immediately
-                raise EngineFailedError(
-                    f"the engine failed processing this push "
-                    f"({metrics.failure_reason})"
-                )
-
-    def _validate_order(self, relation: str, ts: float) -> None:
-        try:
-            validate_arrival(
-                relation,
-                ts,
-                self._last_ts,
-                self._stream_high,
-                self._runtime_config.disorder_bound,
+            return
+        self._record(tup)
+        if runtime.metrics.failed:
+            # this push was fully processed (and recorded) but tipped
+            # the engine over the limit — surface it immediately
+            raise EngineFailedError(
+                f"the engine failed processing this push "
+                f"({runtime.metrics.failure_reason})"
             )
-        except ValueError as exc:
+
+    def _reject(self, tup: StreamTuple, policy: str, exc: LateArrivalError) -> None:
+        """The one raise / drop / dead-letter ladder for a tuple the
+        ingress refused.  The tuple touched neither engine nor statistics
+        state and is never recorded in the verification history, so the
+        oracle checks the session against exactly the admitted tuples."""
+        if policy == "drop":
+            self._lateness_metrics().on_late_drop()
+        elif policy == "dead_letter":
+            self._dead_letters.append(tup)
+            self._lateness_metrics().on_dead_letter()
+            for callback in self._dead_letter_listeners:
+                callback(tup)
+        else:
             raise LateTupleError(str(exc)) from exc
 
-    def _is_late_admit(self, relation: str, ts: float) -> bool:
-        """True iff an (accepted) push lags its stream's high water beyond
-        ``disorder_bound`` — i.e. it rode the ``allowed_lateness`` grace."""
-        if self.allowed_lateness <= 0 or self.disorder_bound is None:
-            return False
-        high = self._stream_high.get(relation)
-        return high is not None and high - ts > self.disorder_bound
-
-    def _dead_letter(self, tup: StreamTuple) -> None:
-        """Route a beyond-lateness straggler to the dead-letter side-output.
-
-        The tuple is never recorded in the verification history — the
-        oracle automatically checks the session against exactly the
-        admitted tuples — and never touches engine or statistics state.
-        """
-        self._dead_letters.append(tup)
+    def _lateness_metrics(self) -> EngineMetrics:
+        """Where straggler counts go: the runtime's metrics, or the warmup
+        tally while there is no runtime yet."""
         if self._runtime is not None:
-            self._runtime.metrics.on_dead_letter()
-        else:
-            self._warmup_dead_lettered += 1
-        for callback in self._dead_letter_listeners:
-            callback(tup)
+            return self._runtime.metrics
+        return self._warmup_metrics
 
     def dead_letters(self) -> List[StreamTuple]:
         """Beyond-lateness stragglers routed to the side-output so far
@@ -887,31 +818,16 @@ class JoinSession:
         """
         if self._runtime_config.workers == 1:
             self._loop.observe(tup)
-        self._commit(tup)
-
-    def _commit(self, tup: StreamTuple) -> None:
-        """Count + oracle bookkeeping for an engine-ingested tuple
-        (statistics observation is :meth:`_record`'s job)."""
-        ts = tup.trigger_ts
         self._pushed += 1
         if self.record_streams:
             # the oracle's inputs: the tuple history and the arrival seq of
             # each (relation, ts) — both grow with the stream, which is why
             # production sessions turn record_streams off
-            key = (tup.trigger, ts)
+            key = (tup.trigger, tup.trigger_ts)
             if key in self._seq_of:
                 self._ambiguous_ts = True
             self._seq_of[key] = self._pushed
             self._history.setdefault(tup.trigger, []).append(tup)
-        self._track_order(tup.trigger, ts)
-
-    def _track_order(self, relation: str, ts: float) -> None:
-        if self._first_ts is None:
-            self._first_ts = ts
-        self._last_ts = max(self._last_ts, ts)
-        high = self._stream_high.get(relation)
-        if high is None or ts > high:
-            self._stream_high[relation] = ts
 
     def flush(self) -> "JoinSession":
         """Run any deferred micro-batch cascade to completion."""
@@ -1020,14 +936,9 @@ class JoinSession:
                 "pending": list(self._pending),
                 "drops": {rel: list(v) for rel, v in self._drops.items()},
                 "ambiguous_ts": self._ambiguous_ts,
-                "first_ts": self._first_ts,
-                "last_ts": self._last_ts,
-                "stream_high": dict(self._stream_high),
                 "cursors": dict(self._cursors),
                 "dead_letters": list(self._dead_letters),
-                "warmup_late_dropped": self._warmup_late_dropped,
-                "warmup_dead_lettered": self._warmup_dead_lettered,
-                "warmup_late_admitted": self._warmup_late_admitted,
+                "warmup_metrics": self._warmup_metrics,
             },
             "loop": {
                 "current_epoch": loop.current_epoch,
@@ -1087,14 +998,9 @@ class JoinSession:
         session._pending = list(ingest["pending"])
         session._drops = {rel: list(v) for rel, v in ingest["drops"].items()}
         session._ambiguous_ts = ingest["ambiguous_ts"]
-        session._first_ts = ingest["first_ts"]
-        session._last_ts = ingest["last_ts"]
-        session._stream_high = dict(ingest["stream_high"])
         session._cursors = dict(ingest["cursors"])
         session._dead_letters = list(ingest["dead_letters"])
-        session._warmup_late_dropped = ingest["warmup_late_dropped"]
-        session._warmup_dead_lettered = ingest["warmup_dead_lettered"]
-        session._warmup_late_admitted = ingest["warmup_late_admitted"]
+        session._warmup_metrics = ingest["warmup_metrics"]
         loop_state = payload["loop"]
         loop = session._loop
         loop.current_epoch = loop_state["current_epoch"]
@@ -1107,49 +1013,17 @@ class JoinSession:
         engine_state = payload["engine"]
         if engine_state is None:
             # checkpointed before the first plan (warmup still buffering):
-            # the restored _pending drains through _start on the next push
+            # the buffered prefix *is* the private ingress's state — re-admit
+            # it (same order, same verdicts); the restored _pending then
+            # drains through _start on the next push
+            for tup in session._pending:
+                session._warmup_ingress.admit(tup)
             return session
-        topology = payload["topology"]
-        windows = dict(payload["windows"])
-        runtime: Union[_SessionRuntime, _SessionShardedRuntime]
-        if session._runtime_config.workers > 1:
-            runtime = _SessionShardedRuntime(
-                topology,
-                windows,
-                session._runtime_config,
-                session._listeners,
-                session._worker_transport,
-                session._loop.absorb,
-            )
-        else:
-            runtime = _SessionRuntime(
-                topology, windows, session._runtime_config, session._listeners
-            )
-        runtime.load_state(engine_state)
-        session._runtime = runtime
-        # seed the controller exactly as _start does, so every later
-        # decision — epoch boundary, churn, explicit reoptimize — flows
-        # through the same loop → controller.decide → install path
-        queries = [session._queries[name] for name in sorted(session._queries)]
-        catalog = session._catalog
-        if catalog is None:
-            catalog = session._build_catalog(queries)
-        controller = AdaptiveController(
-            catalog,
-            queries,
-            session._optimizer_config,
-            solver=choose_solver(queries, session.solver),
+        session._runtime = session._build_runtime(
+            payload["topology"], dict(payload["windows"])
         )
-        controller.current_plan = plan
-        controller.current_signature = (
-            plan_signature(plan) if plan is not None else None
-        )
-        controller._dirty = False
-        session._controller = controller
-        session._loop.bind(controller, cluster=session._optimizer_config.cluster)
-        session._loop.attach(runtime)
-        if session._runtime_config.workers > 1:
-            session._loop.pre_decide = runtime.flush
+        session._runtime.load_state(engine_state)
+        session._seed_controller(plan, session._catalog)
         return session
 
     # ------------------------------------------------------------------
@@ -1226,23 +1100,7 @@ class JoinSession:
         if self._runtime is None:
             self._start()
             return None
-        self._runtime.flush()
-        controller = self._controller
-        queries = [self._queries[name] for name in sorted(self._queries)]
-        controller.solver = choose_solver(queries, self.solver)
-        old = self._runtime.topology
-        catalog = self._build_catalog(queries)
-        now = self._last_ts if self._last_ts != float("-inf") else 0.0
-        record = self._loop.rewire(
-            now=now, windows=self._windows_map(), measured=catalog
-        )
-        if record is not None and record.changed:
-            switch = self._runtime.switches[-1]
-            self._plan, self._catalog = controller.current_plan, catalog
-            for store_id in switch.removed_stores:
-                if old.stores[store_id].mir.is_input:
-                    self._drops.setdefault(store_id, []).append(self._pushed)
-        return record
+        return self._rewire()
 
     def _end_warmup(self) -> None:
         """Query churn ends a warmup early: the buffered prefix must run
@@ -1252,37 +1110,44 @@ class JoinSession:
         if self._runtime is None and self._pending:
             self._start()
 
-    def _start(self) -> None:
-        if not self._queries:
-            return
-        plan, catalog, topology = self._optimize()
+    def _build_runtime(self, topology: Topology, windows: Dict[str, float]) -> Runtime:
+        """The one place a session runtime is constructed (first plan and
+        restore alike): local or sharded by ``workers``, results fanned out
+        to subscribers through the runtime's sink, attached to the loop."""
         if self._runtime_config.workers > 1:
-            self._runtime = _SessionShardedRuntime(
+            runtime: Runtime = ShardedRuntime(
                 topology,
-                self._windows_map(),
+                windows,
                 self._runtime_config,
-                self._listeners,
-                self._worker_transport,
-                self._loop.absorb,
+                transport=self._worker_transport,
+                stats_sink=self._loop.absorb,
+                sink=self._deliver,
             )
+            # epoch boundaries must see every already-shipped tuple's
+            # statistics: drain the workers before the loop decides
+            self._loop.pre_decide = runtime.flush
         else:
-            self._runtime = _SessionRuntime(
-                topology,
-                self._windows_map(),
-                self._runtime_config,
-                self._listeners,
+            runtime = RewirableRuntime(
+                topology, windows, self._runtime_config, sink=self._deliver
             )
-        # stragglers handled while warming up belong to the same counters
-        if self._warmup_late_dropped:
-            self._runtime.metrics.on_late_drop(self._warmup_late_dropped)
-        if self._warmup_dead_lettered:
-            self._runtime.metrics.on_dead_letter(self._warmup_dead_lettered)
-        if self._warmup_late_admitted:
-            self._runtime.metrics.on_late_admit(self._warmup_late_admitted)
-        self._plan, self._catalog = plan, catalog
-        # seed the controller with the plan just deployed: every later
-        # decision — epoch boundary, query churn, explicit reoptimize —
-        # flows through the one loop → controller.decide → install path
+        self._loop.attach(runtime)
+        return runtime
+
+    def _deliver(self, query: str, result: StreamTuple) -> None:
+        """The runtime's sink: fan one result out to its subscribers.
+
+        Under ``workers > 1`` this runs on the driver side of the
+        deterministic merge, so callback order is reproducible and
+        identical to the single-process session (same seq order)
+        regardless of worker scheduling.
+        """
+        for callback in self._listeners.get(query, ()):
+            callback(result)
+
+    def _seed_controller(self, plan: SharedPlan, catalog: StatisticsCatalog) -> None:
+        """Seed the controller with the deployed plan: every later
+        decision — epoch boundary, query churn, explicit reoptimize —
+        flows through the one loop → controller.decide → install path."""
         queries = [self._queries[name] for name in sorted(self._queries)]
         controller = AdaptiveController(
             catalog,
@@ -1295,16 +1160,26 @@ class JoinSession:
         controller._dirty = False
         self._controller = controller
         self._loop.bind(controller, cluster=self._optimizer_config.cluster)
-        self._loop.attach(self._runtime)
-        if self._runtime_config.workers > 1:
-            # epoch boundaries must see every already-shipped tuple's
-            # statistics: drain the workers before the loop decides
-            self._loop.pre_decide = self._runtime.flush
+
+    def _start(self) -> None:
+        if not self._queries:
+            return
+        plan, catalog, topology = self._optimize()
+        self._runtime = self._build_runtime(topology, self._windows_map())
+        # stragglers handled while warming up belong to the same counters
+        metrics, early = self._runtime.metrics, self._warmup_metrics
+        metrics.on_late_drop(early.late_dropped)
+        metrics.on_dead_letter(early.dead_lettered)
+        metrics.on_late_admit(early.late_admitted)
+        self._plan, self._catalog = plan, catalog
+        self._seed_controller(plan, catalog)
         # the drain below re-delivers the buffered prefix tuple-by-tuple
-        # and re-observes statistics on the way (driver-side at workers=1,
-        # shard-side otherwise, via _record) — drop the buffer-time
-        # accumulator or every warmup tuple would be counted twice, and
-        # epoch boundaries crossed mid-drain would misattribute tuples
+        # (the runtime's ingress re-admits it: same order, same verdicts,
+        # same trusted seqs) and re-observes statistics on the way
+        # (driver-side at workers=1, shard-side otherwise, via _record) —
+        # drop the buffer-time accumulator or every warmup tuple would be
+        # counted twice, and epoch boundaries crossed mid-drain would
+        # misattribute tuples
         self._loop.stats = EpochStatistics(epoch=self._loop.stats.epoch)
         pending, self._pending = self._pending, []
         for tup in pending:
@@ -1324,45 +1199,55 @@ class JoinSession:
                 )
 
     def _replan(self) -> None:
-        """Re-optimize the shared plan and rewire the live runtime.
+        """Re-optimize the shared plan for a changed query set and rewire.
 
         Query churn rides the same :class:`AdaptivityLoop` path as epoch
-        re-optimization: the controller's query set is synced (marking it
-        dirty, so a topology is always produced), the freshest observed
-        statistics are folded into the measured catalog, and the install
-        goes through the one ``loop.install`` funnel.
+        re-optimization: the controller's query set is synced and marked
+        dirty, so :meth:`_rewire` always produces and installs a topology.
         """
         if self._runtime is None:
             return
-        self._runtime.flush()
-        old = self._runtime.topology
         controller = self._controller
-        queries = [self._queries[name] for name in sorted(self._queries)]
         saved = (dict(controller.queries), controller._dirty)
-        now = self._last_ts if self._last_ts != float("-inf") else 0.0
+        controller.queries = {
+            name: self._queries[name] for name in sorted(self._queries)
+        }
+        controller._dirty = True
         try:
-            controller.queries = {q.name: q for q in queries}
-            controller._dirty = True
-            controller.solver = choose_solver(queries, self.solver)
-            catalog = self._build_catalog(queries)
-            self._loop.rewire(
-                now=now, windows=self._windows_map(), measured=catalog
-            )
+            self._rewire()
         except Exception:
             # transactional: a failed solve must leave the controller (and
             # the still-running topology) exactly as they were
             controller.queries, controller._dirty = saved
             raise
-        record = self._runtime.switches[-1]
-        # introspection state only after a successful install, so a failed
-        # replan never reports a plan that is not actually running
-        self._plan, self._catalog = controller.current_plan, catalog
-        # dropped *input* stores lose their windowed tuples for good (MIR
-        # stores are re-derivable via backfill); remember the cut so the
-        # verification oracle stops expecting results that would need them
-        for store_id in record.removed_stores:
-            if old.stores[store_id].mir.is_input:
-                self._drops.setdefault(store_id, []).append(self._pushed)
+
+    def _rewire(self) -> Optional[DecisionRecord]:
+        """Decide against the freshest observed statistics and install a
+        changed plan through the one ``loop.install`` funnel."""
+        runtime, controller = self._runtime, self._controller
+        runtime.flush()
+        old = runtime.topology
+        queries = [self._queries[name] for name in sorted(self._queries)]
+        controller.solver = choose_solver(queries, self.solver)
+        catalog = self._build_catalog(queries)
+        last_ts = runtime.ingress.last_ts
+        record = self._loop.rewire(
+            now=last_ts if last_ts != float("-inf") else 0.0,
+            windows=self._windows_map(),
+            measured=catalog,
+        )
+        if record is not None and record.changed:
+            # introspection state only after a successful install, so a
+            # failed rewire never reports a plan that is not running
+            self._plan, self._catalog = controller.current_plan, catalog
+            # dropped *input* stores lose their windowed tuples for good
+            # (MIR stores are re-derivable via backfill); remember the cut
+            # so the verification oracle stops expecting results that
+            # would need them
+            for store_id in runtime.switches[-1].removed_stores:
+                if old.stores[store_id].mir.is_input:
+                    self._drops.setdefault(store_id, []).append(self._pushed)
+        return record
 
     def _optimize(self) -> Tuple[SharedPlan, StatisticsCatalog, Topology]:
         queries = [self._queries[name] for name in sorted(self._queries)]

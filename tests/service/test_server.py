@@ -158,6 +158,127 @@ class TestProtocol:
         ]
 
 
+class TestDrainSurvives:
+    """One bad item must cost its sender an error frame, never the drain
+    task — the only thing that answers anybody."""
+
+    @staticmethod
+    async def _exchange(reader, writer, frame):
+        writer.write(json.dumps(frame).encode() + b"\n")
+        await writer.drain()
+        return json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+
+    def test_unhashable_join_value_gets_error_and_service_goes_on(self):
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                push = {"op": "push", "relation": "R", "values": {"a": [1, 2]}, "ts": 1.0}
+                bad = [
+                    await self._exchange(reader, writer, dict(push, id=1)),
+                    await self._exchange(
+                        reader, writer, dict(push, relation="S", ts=1.1, id=2)
+                    ),
+                ]
+                good = [
+                    await self._exchange(
+                        reader, writer, dict(push, values={"a": 7}, ts=1.2, id=3)
+                    ),
+                    await self._exchange(
+                        reader,
+                        writer,
+                        dict(push, relation="S", values={"a": 7}, ts=1.3, id=4),
+                    ),
+                    await self._exchange(reader, writer, {"op": "flush", "id": 5}),
+                ]
+                results = await self._exchange(
+                    reader, writer, {"op": "results", "query": "q1", "id": 6}
+                )
+                writer.close()
+                return server, bad, good, results
+
+        server, bad, good, results = asyncio.run(scenario())
+        for index, frame in enumerate(bad, start=1):
+            assert frame["kind"] == "error" and frame["id"] == index
+            assert "unhashable" in frame["error"]
+        assert [(f["kind"], f["id"]) for f in good] == [("ok", 3), ("ok", 4), ("ok", 5)]
+        assert results["count"] == 1
+        # the failed items do not count as ingested
+        assert server.ingested == 2
+
+    def test_in_process_bad_item_lands_in_server_errors(self):
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                await server.ingest("R", {"a": [1, 2]}, 1.0)
+                await server.ingest("R", {"a": 1}, 1.1)
+                await server.ingest("S", {"a": 1}, 1.2)
+                await asyncio.wait_for(server.drain(), 10.0)
+                return server
+
+        server = asyncio.run(scenario())
+        assert server.ingested == 2
+        assert len(server.errors) == 1 and "unhashable" in server.errors[0]
+
+    def test_dead_drain_task_fails_loudly(self, monkeypatch):
+        """Should the drain task ever exit other than by cancellation,
+        every connection is told and closed instead of left waiting."""
+
+        async def scenario():
+            session = tiny_session()
+            server = JoinServer(session)
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+
+            def broken():
+                raise RuntimeError("drain bookkeeping broke")
+
+            monkeypatch.setattr(server, "_fold_metrics", broken)
+            frame = await self._exchange(reader, writer, {"op": "flush", "id": 1})
+            assert frame == {"kind": "ok", "id": 1, "pushed": 0}
+            frame = json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+            eof = await asyncio.wait_for(reader.readline(), 10.0)
+            writer.close()
+            with pytest.raises(RuntimeError, match="bookkeeping broke"):
+                await asyncio.wait_for(server.stop(), 10.0)
+            return server, frame, eof
+
+        server, frame, eof = asyncio.run(scenario())
+        assert frame["kind"] == "error" and "drain task exited" in frame["error"]
+        assert eof == b""
+        assert "bookkeeping broke" in server.errors[-1]
+
+
+class TestClientBatchForms:
+    def test_stream_tuples_and_triples_give_identical_results(self):
+        """`ServiceClient.push_batch` used to send a StreamTuple's
+        *qualified* names, which the server qualified again (``R.R.a``):
+        the predicate then read ``None`` on both sides and joined
+        ``R.a=1`` with ``S.a=2``."""
+        triples = [
+            ("R", {"a": 1}, 1.0),
+            ("S", {"a": 2}, 1.1),  # must not join R.a=1
+            ("S", {"a": 1}, 1.2),  # must
+        ]
+
+        async def run(items):
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    await client.push_batch(items)
+                    return (await client.results("q1"))["results"]
+
+        from repro.engine import input_tuple
+
+        as_tuples = [input_tuple(rel, ts, values) for rel, values, ts in triples]
+        from_triples = asyncio.run(run(triples))
+        from_tuples = asyncio.run(run(as_tuples))
+        assert from_tuples == from_triples
+        assert from_triples == [
+            {"timestamps": {"S": 1.2, "R": 1.0}, "values": {"S.a": 1, "R.a": 1}}
+        ]
+
+
 class TestCheckpointOverTheWire:
     def test_checkpoint_restore_parity(self, tmp_path):
         path = tmp_path / "wire.snap"
