@@ -316,7 +316,7 @@ def bench_logical_runtime(num_inputs: int, seed: int, backend: str = "python") -
     runtime = TopologyRuntime(
         topology,
         {r: 8.0 for r in "RST"},
-        RuntimeConfig(mode="logical", store_backend=backend),
+        RuntimeConfig(store_backend=backend),
     )
     start = time.perf_counter()
     runtime.run(inputs)
@@ -385,7 +385,6 @@ def bench_cascade(
         topology,
         {r: window for r in "RSTU"},
         RuntimeConfig(
-            mode="logical",
             store_backend="columnar",
             vectorized_cascades=vectorized,
         ),
@@ -449,7 +448,7 @@ def bench_sharded_runtime(
     runtime = ShardedRuntime(
         topology,
         {"R": retention, "S": retention},
-        RuntimeConfig(mode="logical", workers=workers),
+        RuntimeConfig(workers=workers),
     )
     try:
         start = time.perf_counter()

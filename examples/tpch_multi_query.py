@@ -3,7 +3,7 @@
 
 Part 1 compiles the five Figure-7a queries under all five strategies
 (Flink/Storm Independent, Flink/Storm Shared, CLASH-MQO), runs each over
-the same TPC-H-shaped stream on the timed engine, and prints the
+the same TPC-H-shaped stream on the timed simulator, and prints the
 throughput / memory / latency grid of Figures 7b–7d.
 
 Part 2 runs the same workload as a *live service*: a

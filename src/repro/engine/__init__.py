@@ -1,16 +1,15 @@
 """Simulated scale-out stream processor (the Apache Storm substitute).
 
 * :class:`TopologyRuntime` — executes a :class:`~repro.core.topology.Topology`
-  in exact (``logical``) or queueing-simulation (``timed``) mode.
+  exactly (results equal the brute-force reference join).
 * :class:`Runtime` — what the local and the sharded runtime share;
   :class:`Ingress` — the arrival contract every runtime admits through.
 * :class:`AdaptiveRuntime` — epoch-based re-optimizing runtime (Section VI).
 * :func:`reference_join` — brute-force oracle used by the test suite.
 """
 
-from .adaptivity import AdaptivityLoop
+from .adaptivity import AdaptiveRuntime, AdaptivityLoop
 from .columnar import ColumnarContainer, VectorBatch
-from .epochs import AdaptiveRuntime
 from .ingress import Ingress
 from .metrics import EngineMetrics
 from .profiles import CLASH_PROFILE, FLINK_PROFILE, STORM_PROFILE, EngineProfile

@@ -18,11 +18,13 @@ parallel stacks.  :class:`AdaptivityLoop` is the single shared loop:
   watermark seeding and ``store_backend="auto"`` reselection ride every
   switch regardless of what triggered it.
 
-Layering: :class:`~repro.engine.epochs.AdaptiveRuntime` is a thin
-compatibility shim over this loop, and :class:`~repro.session.JoinSession`
-drives the same loop for ``reoptimize_every`` epochs, ``add_query`` /
-``remove_query`` churn, and ``session.reoptimize()``.  Every optimizer
-consultation is mirrored into ``runtime.metrics.decisions`` as a
+Layering: :class:`AdaptiveRuntime` is a rewirable runtime that drives the
+loop from its own ``process`` (Section VI, Figure 5: epoch statistics,
+decide at the next boundary, install one epoch later), and
+:class:`~repro.session.JoinSession` drives the same loop for
+``reoptimize_every`` epochs, ``add_query`` / ``remove_query`` churn, and
+``session.reoptimize()``.  Every optimizer consultation is mirrored into
+``runtime.metrics.decisions`` as a
 :class:`~repro.core.adaptive.DecisionRecord`.
 """
 
@@ -35,14 +37,15 @@ from ..core.adaptive import AdaptiveController, DecisionRecord
 from ..core.catalog import StatisticsCatalog
 from ..core.partitioning import ClusterConfig
 from ..core.topology import Topology
+from .rewiring import RewirableRuntime, SwitchRecord
+from .runtime import RuntimeConfig
 from .statistics import EpochStatistics
 from .tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .rewiring import SwitchRecord
     from .runtime import Runtime
 
-__all__ = ["AdaptivityLoop"]
+__all__ = ["AdaptiveRuntime", "AdaptivityLoop"]
 
 
 class AdaptivityLoop:
@@ -255,3 +258,46 @@ class AdaptivityLoop:
             for record in self.controller.decisions[before:]:
                 self.runtime.metrics.on_decision(record)
         return topology
+
+
+class AdaptiveRuntime(RewirableRuntime):
+    """A runtime that re-optimizes itself at epoch boundaries: a
+    :class:`RewirableRuntime` deployed from the controller's initial plan,
+    plus an :class:`AdaptivityLoop` (``runtime.loop``) consulted around
+    every admitted input."""
+
+    def __init__(
+        self,
+        controller: AdaptiveController,
+        windows: Dict[str, float],
+        config: Optional[RuntimeConfig] = None,
+        epoch_length: float = 1.0,
+        cluster: Optional[ClusterConfig] = None,
+        adapt: bool = True,
+        stats_window: int = 1,
+    ) -> None:
+        self.loop = AdaptivityLoop(
+            controller,
+            epoch_length=epoch_length,
+            cluster=cluster or controller.config.cluster,
+            adapt=adapt,
+            stats_window=stats_window,
+        )
+        super().__init__(
+            controller.initial_topology(self.loop.cluster), windows, config
+        )
+        self.loop.attach(self)
+
+    @property
+    def current_epoch(self) -> int:
+        return self.loop.current_epoch
+
+    def process(self, tup: StreamTuple) -> None:
+        # admission first: a rejected straggler must not cross an epoch
+        # boundary; a boundary's install then flushes the pending
+        # micro-batch, so the switch falls before this tuple's cascade
+        if not self._admit(tup):
+            return
+        self.loop.advance(tup.trigger_ts)
+        self._accept(tup)
+        self.loop.observe(tup)

@@ -105,10 +105,6 @@ class EngineMetrics:
     def on_evict(self, width: int) -> None:
         self.stored_units -= width
 
-    def on_probe(self, candidates_checked: int) -> None:
-        self.probes_executed += 1
-        self.comparisons += candidates_checked
-
     def on_probe_batch(self, probes: int, candidates_checked: int) -> None:
         """Batched bookkeeping: ``probes`` probes scanned ``candidates_checked``
         candidates in total (one call per rule application per batch)."""
@@ -121,6 +117,11 @@ class EngineMetrics:
         latency = completion_ts - trigger_ts
         self.latencies.append(latency)
         self.latency_samples.append((completion_ts, latency))
+        self.last_completion = max(self.last_completion, completion_ts)
+
+    def on_completion(self, completion_ts: float) -> None:
+        """Work finished at ``completion_ts`` without emitting a result
+        (the timed simulator's service completions)."""
         self.last_completion = max(self.last_completion, completion_ts)
 
     def on_decision(self, record: "DecisionRecord") -> None:

@@ -15,12 +15,12 @@ whose deployed topology can be *replaced while tuples are flowing*:
 * *repartitions* survivors whose partitioning attribute or task count
   changed (tuples were placed by the old hash function and would be
   invisible to newly routed probes),
-* releases the state of removed stores while keeping their tasks resolvable
-  for in-flight messages (timed mode),
-* archives edges/rules/specs so messages already routed under a retired
-  topology still find their behaviour.
+* releases removed stores, state and tasks alike: ``install()`` flushes
+  first and no message is in flight outside a cascade, so nothing can
+  address a retired store, edge or rule afterwards.
 
-Two subsystems drive installs: the epoch-based :class:`~repro.engine.epochs.AdaptiveRuntime`
+Two subsystems drive installs: the epoch-based
+:class:`~repro.engine.adaptivity.AdaptiveRuntime`
 (statistics-triggered plan switches) and the session facade
 (:class:`repro.JoinSession`), whose online ``add_query`` / ``remove_query``
 replan between pushed tuples.  Watermark mode composes with rewiring: the
@@ -33,14 +33,14 @@ components, so seq-based probe visibility stays exact across a rewire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.adaptive import TopologyDiff, diff_topologies
 from ..core.probe_order import maintenance_query
-from ..core.topology import EdgeSpec, Rule, StoreSpec, Topology
+from ..core.topology import StoreSpec, Topology
 from .reference import reference_join
 from .routing import stable_hash
-from .runtime import RuntimeConfig, TopologyRuntime
+from .runtime import TopologyRuntime
 from .stores import StoreTask
 from .tuples import StreamTuple
 
@@ -102,27 +102,7 @@ class SwitchRecord:
 
 
 class RewirableRuntime(TopologyRuntime):
-    """A runtime whose topology can be atomically replaced mid-stream.
-
-    Snapshots (:meth:`dump_state`) do not persist the archives: a restored
-    runtime is constructed from the snapshot's installed topology, so its
-    archives already describe every live edge/rule/store, and in-flight
-    messages (the only consumers of stale archive entries, timed mode)
-    cannot exist across a logical-mode snapshot boundary.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        windows: Dict[str, float],
-        config: Optional[RuntimeConfig] = None,
-        sink: Optional[Callable[[str, StreamTuple], None]] = None,
-    ) -> None:
-        super().__init__(topology, windows, config, sink)
-        self._edge_archive: Dict[str, EdgeSpec] = dict(topology.edges)
-        self._rule_archive: Dict[Tuple[str, str], List[Rule]] = {}
-        self._store_archive: Dict[str, StoreSpec] = dict(topology.stores)
-        self._archive_rules(topology)
+    """A runtime whose topology can be atomically replaced mid-stream."""
 
     # ------------------------------------------------------------------
     # reconfiguration
@@ -182,21 +162,9 @@ class RewirableRuntime(TopologyRuntime):
         self._install_stores(topology)
         # the relation set (and thus window uniformity) may have changed
         self._uniform_window = self._compute_uniform_window()
-        # In logical mode no message can be in flight outside a cascade and
-        # install() flushed first, so retired edges/rules/specs are
-        # unreachable: rebuild the archives from the live topology instead
-        # of accumulating every retired entry across a session's churn.
-        # Timed mode keeps the cumulative archives for in-flight messages.
-        logical = self.config.mode == "logical"
-        if logical:
-            self._edge_archive = dict(topology.edges)
-            self._store_archive = dict(topology.stores)
-            self._rule_archive = {}
-            self._oriented_cache.clear()
-        else:
-            self._edge_archive.update(topology.edges)
-            self._store_archive.update(topology.stores)
-        self._archive_rules(topology)
+        # retired rules are unreachable from here on; drop their cached
+        # orientations instead of accumulating them across a session's churn
+        self._oriented_cache.clear()
 
         for store_id in diff.added:
             spec = topology.stores[store_id]
@@ -204,19 +172,15 @@ class RewirableRuntime(TopologyRuntime):
                 self._backfill(spec, now)
 
         # Reference counting: stores no longer serving any query release
-        # their state; in timed mode the emptied tasks stay resolvable for
-        # in-flight messages, in logical mode they are dropped outright.
+        # their state and their tasks.
         for store_id in diff.removed:
-            for task in self.tasks.get(store_id, []):
+            for task in self.tasks.pop(store_id, []):
                 freed = sum(
                     sum(t.width for t in cont.iter_tuples())
                     for cont in task.containers.values()
                 )
                 if freed:
                     self.metrics.on_evict(freed)
-                task.containers.clear()
-            if logical:
-                self.tasks.pop(store_id, None)
 
         # Hybrid backend selection: with ``store_backend="auto"`` every task
         # re-picks its container implementation from the statistics observed
@@ -342,7 +306,7 @@ class RewirableRuntime(TopologyRuntime):
 
         The paper instead keeps supplementary probe orders alive for one
         window; backfilling is the atomic-switch equivalent with identical
-        result sets (see :mod:`repro.engine.epochs`).  The intermediates
+        result sets (docs/engine.md, "Timed simulation").  The intermediates
         carry the max-merged arrival sequence of their components, keeping
         seq-based probe visibility exact under watermark mode.
         """
@@ -360,25 +324,3 @@ class RewirableRuntime(TopologyRuntime):
             )
             self.metrics.on_store(tup.width)
         self.metrics.backfilled_tuples += len(intermediates)
-
-    # ------------------------------------------------------------------
-    # archived lookups (in-flight messages survive switches in timed mode)
-    # ------------------------------------------------------------------
-    def _archive_rules(self, topology: Topology) -> None:
-        for store_id, ruleset in topology.rulesets.items():
-            for label, rules in ruleset.items():
-                self._rule_archive[(store_id, label)] = rules
-
-    def edge_spec(self, label: str) -> EdgeSpec:
-        edge = self.topology.edges.get(label)
-        return edge if edge is not None else self._edge_archive[label]
-
-    def rules_for(self, store_id: str, label: str) -> List[Rule]:
-        rules = self.topology.rulesets.get(store_id, {}).get(label)
-        if rules is not None:
-            return rules
-        return self._rule_archive.get((store_id, label), [])
-
-    def _store_spec(self, store_id: str) -> StoreSpec:
-        spec = self.topology.stores.get(store_id)
-        return spec if spec is not None else self._store_archive[store_id]

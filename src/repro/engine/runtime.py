@@ -1,23 +1,18 @@
-"""Topology execution: the simulated scale-out stream processor.
+"""Topology execution: the push engine behind every runtime.
 
-Two modes share all rule/routing logic (Algorithm 3):
-
-* ``logical`` — input tuples are processed strictly in timestamp order and
-  every probe cascade runs to completion before the next tuple arrives.
-  This is *exact*: the produced result sets equal the brute-force reference
-  join.  Probe cost (tuples sent), messages, and state sizes are measured;
-  time-related metrics are meaningless here.
-
-* ``timed`` — a discrete-event simulation: every store task is a FIFO
-  server with service times from an :class:`~repro.engine.profiles.EngineProfile`;
-  messages pay a network delay; queues grow under overload.  Throughput and
-  end-to-end latency emerge from the queueing behaviour (the paper's
-  Figures 7b/7d/8); a memory limit models the "workers failed due to memory
-  overflow" outcome of Figure 8a.
+Rule and routing logic follow Algorithm 3.  Input tuples are processed in
+arrival order and every probe cascade runs to completion before a later
+tuple's cascade can observe it.  This is *exact*: the produced result sets
+equal the brute-force reference join.  Probe cost (tuples sent), messages,
+and state sizes are measured; wall-clock time is whatever the host gives.
+The queueing behaviour behind the paper's Figures 7b/7d/8 (service times,
+network delay, a machine pool, memory overflow from queued messages) is
+evaluation apparatus and lives in
+:class:`repro.experiments.timed.TimedSimulator`, not here.
 
 Hot-path design (see docs/engine.md):
 
-* Logical mode drains inputs in micro-batches: consecutive tuples of the
+* Inputs drain in micro-batches: consecutive tuples of the
   same relation share one cascade, and every inter-task hop carries a
   *batch* of tuples, so edge/rule lookups, hash-index resolution, predicate
   orientation, and metrics bookkeeping are amortized across the batch.
@@ -25,16 +20,15 @@ Hot-path design (see docs/engine.md):
   never interact — probes only target stores whose lineage is disjoint
   from the probing tuple, stores always target lineage-containing stores —
   and (b) the strict ``arrived_before`` order makes same-trigger tuples
-  invisible to each other.  Runtimes that override the per-input hooks
-  (the adaptive runtime switches plans between inputs) fall back to
-  per-tuple cascades automatically.
+  invisible to each other.  A plan switch (``install``) flushes the
+  pending micro-batch first, so it always falls between two inputs.
 * Predicate orientation (probe-side vs. stored-side attribute) depends
   only on the probing tuple's lineage, which is fixed per topology edge;
   it is computed once per (rule, lineage) and cached.
 * When every relation shares one window length, the pairwise window check
   collapses to an O(1) comparison of precomputed timestamp extrema.
 
-Out-of-order arrivals (watermark mode, logical only): setting
+Out-of-order arrivals (watermark mode): setting
 ``RuntimeConfig.disorder_bound`` declares that event timestamps within each
 input stream lag its arrival order by at most that bound.  The arrival
 contract itself — order check, arrival sequence numbers, per-stream high
@@ -62,8 +56,6 @@ the reference — joins them.)
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -72,7 +64,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -81,11 +72,10 @@ from typing import (
     Union,
 )
 
-from ..core.topology import EdgeSpec, ProbeRule, Rule, StoreRule, StoreSpec, Topology
+from ..core.topology import EdgeSpec, ProbeRule, StoreRule, StoreSpec, Topology
 from .columnar import ColumnarContainer, VectorBatch
 from .ingress import Ingress, LateArrivalError
 from .metrics import EngineMetrics
-from .profiles import CLASH_PROFILE, EngineProfile
 from .routing import stable_hash, target_tasks
 from .stores import (
     AUTO_PROBE_THRESHOLD,
@@ -102,11 +92,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _R = TypeVar("_R", bound="Runtime")
 
-#: timed-mode event heap entry: (event time, tie-break seq, kind, payload)
-#: where payload is the coalesced input group for ``"input"`` events and
-#: ``(edge label, store id, task index, tuple)`` for ``"msg"`` events
-_TimedEvent = Tuple[float, int, str, Tuple[Any, ...]]
-
 __all__ = [
     "LateArrivalError",
     "Runtime",
@@ -122,23 +107,17 @@ class MemoryOverflowError(RuntimeError):
 
 @dataclass
 class RuntimeConfig:
-    """Execution knobs of the simulated engine."""
+    """Execution knobs of the engine."""
 
-    mode: str = "logical"  # "logical" | "timed"
-    profile: EngineProfile = CLASH_PROFILE
     collect_outputs: bool = True
     #: total memory budget in 'tuple units' (Σ width); None = unlimited
     memory_limit_units: Optional[float] = None
-    #: run window eviction every N processed inputs/messages
+    #: run window eviction every N processed inputs
     evict_every: int = 256
-    #: fixed worker pool: tasks are multiplexed onto this many machines
-    #: (paper: 96 workers on 8 nodes); None gives every task its own server,
-    #: which removes contention between duplicated stores
-    num_machines: Optional[int] = None
-    #: logical mode: maximum number of consecutive same-relation inputs
+    #: maximum number of consecutive same-relation inputs
     #: drained into one shared cascade (1 disables input batching)
     batch_size: int = 64
-    #: logical mode: tolerate out-of-order arrivals whose event timestamp
+    #: tolerate out-of-order arrivals whose event timestamp
     #: lags each stream's high water by at most this bound (watermark mode);
     #: None requires timestamp-sorted inputs
     disorder_bound: Optional[float] = None
@@ -157,7 +136,7 @@ class RuntimeConfig:
     #: ... *and* it has been probed at least this many times (a store that
     #: only absorbs inserts gains nothing from vectorized probes)
     auto_probe_threshold: int = AUTO_PROBE_THRESHOLD
-    #: logical mode: carry probe survivors hop-to-hop as
+    #: carry probe survivors hop-to-hop as
     #: :class:`~repro.engine.columnar.VectorBatch` index arrays on columnar
     #: stores under a uniform window, materializing merged tuples only at
     #: emission and store/python-backend boundaries.  Results and
@@ -175,8 +154,6 @@ class RuntimeConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in ("logical", "timed"):
-            raise ValueError(f"unknown runtime mode {self.mode!r}")
         check_backend_name(self.store_backend)
         if self.auto_width_threshold < 0 or self.auto_probe_threshold < 0:
             raise ValueError("auto-backend thresholds must be >= 0")
@@ -189,25 +166,13 @@ class RuntimeConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.workers > 1:
-            if self.mode != "logical":
-                raise ValueError(
-                    "sharded execution (workers > 1) requires logical mode"
-                )
-            if self.memory_limit_units is not None:
-                raise ValueError(
-                    "memory_limit_units is a single-process budget; it does "
-                    "not compose with sharded execution (workers > 1)"
-                )
-        if self.disorder_bound is not None:
-            if self.mode != "logical":
-                raise ValueError(
-                    "out-of-order arrivals (disorder_bound) require logical "
-                    "mode: the timed simulator orders its event heap by "
-                    "event timestamp"
-                )
-            if self.disorder_bound < 0:
-                raise ValueError("disorder_bound must be >= 0")
+        if self.workers > 1 and self.memory_limit_units is not None:
+            raise ValueError(
+                "memory_limit_units is a single-process budget; it does "
+                "not compose with sharded execution (workers > 1)"
+            )
+        if self.disorder_bound is not None and self.disorder_bound < 0:
+            raise ValueError("disorder_bound must be >= 0")
 
 
 class Runtime:
@@ -276,7 +241,7 @@ class Runtime:
     ) -> SwitchRecord:
         """Replace the deployed topology, migrating live store state."""
         raise NotImplementedError(
-            f"{type(self).__name__} deploys one topology for its lifetime"
+            f"{self.__class__.__name__} deploys one topology for its lifetime"
         )
 
     def dump_state(self) -> Dict[str, Any]:
@@ -369,13 +334,8 @@ class TopologyRuntime(Runtime):
             )
         self.tasks: Dict[str, List[StoreTask]] = {}
         self._storage_edges: Dict[str, bool] = {}
-        self._queue_units = 0.0
         self._ops_since_evict = 0
-        self._epoch = 0  # adaptive runtimes override epoch handling
-        self._machine_free: List[float] = (
-            [0.0] * self.config.num_machines if self.config.num_machines else []
-        )
-        self._dispatch_counter = 0
+        self._epoch = 0  # container key; one epoch container per task
         #: (id(rule), probe lineage) -> (rule ref, oriented predicate pairs);
         #: the rule reference keeps the key's id() stable
         self._oriented_cache: Dict[
@@ -386,19 +346,7 @@ class TopologyRuntime(Runtime):
         #: watermark mode: probe visibility by arrival seq, eviction against
         #: the watermark
         self._seq_visibility = self.config.disorder_bound is not None
-        # Push-driver state (logical mode): the pending same-relation
-        # micro-batch.  Cross-input batching requires the default per-input
-        # hooks: an overridden boundary hook (adaptive plan switches) must
-        # observe a fully processed prefix before every input.  A memory
-        # budget also disables it — the seed checked the limit after every
-        # input, and deferring cascades would overshoot the failure point
-        # by up to a whole batch.
-        self._batchable = (
-            type(self).on_input_boundary is TopologyRuntime.on_input_boundary
-            and type(self).on_ingest is TopologyRuntime.on_ingest
-            and type(self).ingest_edges is TopologyRuntime.ingest_edges
-            and self.config.memory_limit_units is None
-        )
+        # Push-driver state: the pending same-relation micro-batch.
         self._group: List[StreamTuple] = []
         self._group_rel: Optional[str] = None
         self._install_stores(topology)
@@ -473,14 +421,6 @@ class TopologyRuntime(Runtime):
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def run(self, inputs: Iterable[StreamTuple]) -> EngineMetrics:
-        """Process input tuples in arrival order (see :meth:`Runtime.run`);
-        timed mode builds its event heap from the whole feed instead."""
-        if self.config.mode == "logical":
-            return super().run(inputs)
-        self._run_timed(inputs)
-        return self.metrics
-
     def stored_tuples_total(self) -> int:
         return sum(
             task.stored_tuples() for tasks in self.tasks.values() for task in tasks
@@ -568,10 +508,10 @@ class TopologyRuntime(Runtime):
         self.metrics.on_restore(restored)
 
     # ------------------------------------------------------------------
-    # logical mode (push driver)
+    # push driver
     # ------------------------------------------------------------------
     def process(self, tup: StreamTuple) -> None:
-        """Push one input tuple through the logical pipeline.
+        """Push one input tuple through the pipeline.
 
         This is the incremental entry point behind :meth:`run` and the
         :class:`~repro.session.JoinSession` facade: admission (arrival-order
@@ -581,31 +521,28 @@ class TopologyRuntime(Runtime):
         (relation change, full batch, or an explicit :meth:`flush`), which
         never changes result sets — only when they materialize.
         """
-        if self.config.mode != "logical":
-            raise RuntimeError(
-                "push-based processing requires logical mode; the timed "
-                "simulator needs the whole feed to build its event heap"
-            )
-        if not self._admit(tup):
-            return
+        if self._admit(tup):
+            self._accept(tup)
+
+    def _accept(self, tup: StreamTuple) -> None:
+        """Batch or run an admitted tuple (the half of :meth:`process` a
+        subclass wraps when it acts between admission and delivery)."""
         ts = tup.trigger_ts
-        if self._batchable:
+        if self.config.memory_limit_units is None:
             if self._group and (
                 tup.trigger != self._group_rel
                 or len(self._group) >= self.config.batch_size
             ):
                 self.flush()
-            if self.metrics.failed:
-                return
             self.metrics.on_input(ts)
             self._group_rel = tup.trigger
             self._group.append(tup)
         else:
-            self.on_input_boundary(ts)
+            # A memory budget is checked after every input: deferring the
+            # cascade would overshoot the failure point by up to a batch.
             self.metrics.on_input(ts)
-            self.on_ingest(tup)
             self._maybe_evict(ts)
-            for label in self.ingest_edges(tup):
+            for label in self.topology.ingest.get(tup.trigger, []):
                 self._send_logical(label, (tup,), ts)
             self._check_memory()
 
@@ -634,24 +571,6 @@ class TopologyRuntime(Runtime):
         self._maybe_evict(now, ops=len(group))
         self._check_memory()
 
-    def ingest_edges(self, tup: StreamTuple) -> List[str]:
-        """Edges a freshly arrived input tuple is sent along (hook point)."""
-        return self.topology.ingest.get(tup.trigger, [])
-
-    def on_input_boundary(self, now: float) -> None:
-        """Hook invoked before each input tuple (adaptive: epoch switches)."""
-
-    def on_ingest(self, tup: StreamTuple) -> None:
-        """Hook invoked for each input tuple (adaptive: statistics)."""
-
-    def edge_spec(self, label: str) -> EdgeSpec:
-        """Edge lookup (adaptive runtimes archive edges across switches)."""
-        return self.topology.edges[label]
-
-    def rules_for(self, store_id: str, label: str) -> List[Rule]:
-        """Rule lookup (adaptive runtimes archive rules across switches)."""
-        return self.topology.rules_for(store_id, label)
-
     def _send_logical(
         self,
         label: str,
@@ -668,11 +587,12 @@ class TopologyRuntime(Runtime):
         raw storage, python-backend probes, query emission) materializes —
         with identical results, order, and metrics either way.
         """
-        edge = self.edge_spec(label)
+        topology = self.topology
+        edge = topology.edges[label]
         store_id = edge.target_store
-        spec = self._store_spec(store_id)
+        spec = topology.stores[store_id]
         tasks = self.tasks[store_id]
-        rules = self.rules_for(store_id, label)
+        rules = topology.rules_for(store_id, label)
 
         vector = tups if isinstance(tups, VectorBatch) else None
         per_task: Dict[int, object]
@@ -797,165 +717,6 @@ class TopologyRuntime(Runtime):
             self._oriented_cache[key] = entry
         return entry[1]
 
-    # ------------------------------------------------------------------
-    # timed mode
-    # ------------------------------------------------------------------
-    def _run_timed(self, inputs: Iterable[StreamTuple]) -> None:
-        # Consecutive same-stream arrivals coalesce into one heap event
-        # (capped at batch_size): inputs are instantaneous — they pay no
-        # service time and merely fan messages out — and each tuple in a
-        # group is still ingested, boundary-hooked, and fanned out at its
-        # *own* event timestamp, so message schedule times are unchanged.
-        # What moves is only the interleaving against already-queued
-        # messages, which the simulation never promised (in-flight messages
-        # always race event time).  batch_size=1 restores the seed's
-        # per-tuple heap exactly; the same guard as logical micro-batching
-        # applies — overridden per-input hooks (adaptive epoch switches must
-        # not reorder in-flight messages across an install) or a memory
-        # budget (the overflow point is defined per event) force it.
-        heap: List[_TimedEvent] = []
-        seq = itertools.count()
-        cap = self.config.batch_size if self._batchable else 1
-        group: List[StreamTuple] = []
-        for tup in inputs:
-            if group and (tup.trigger != group[0].trigger or len(group) >= cap):
-                heapq.heappush(
-                    heap, (group[0].trigger_ts, next(seq), "input", tuple(group))
-                )
-                group = []
-            group.append(tup)
-        if group:
-            heapq.heappush(
-                heap, (group[0].trigger_ts, next(seq), "input", tuple(group))
-            )
-
-        profile = self.config.profile
-        while heap:
-            if self.metrics.failed:
-                break
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind == "input":
-                for tup in payload:
-                    if self.metrics.failed:
-                        break
-                    at = tup.trigger_ts
-                    self.on_input_boundary(at)
-                    self.metrics.on_input(at)
-                    self.on_ingest(tup)
-                    for label in self.ingest_edges(tup):
-                        self._send_timed(heap, seq, label, tup, at)
-                    self._maybe_evict(at)
-                    self._check_memory()
-                continue
-            else:  # message at a task
-                label, store_id, task_index, tup = payload
-                task = self.tasks[store_id][task_index]
-                self._queue_units -= tup.width
-                # With a fixed pool, work is dispatched round-robin over the
-                # machines (a processor-sharing proxy for a load-balanced
-                # cluster): saturation is governed by aggregate work, which
-                # is what distinguishes shared from redundant execution.
-                machine = None
-                if self._machine_free:
-                    machine = self._dispatch_counter % len(self._machine_free)
-                    self._dispatch_counter += 1
-                    busy_until = self._machine_free[machine]
-                else:
-                    busy_until = task.next_free
-                start = max(now, busy_until)
-                service = profile.per_message
-                emissions = []
-                for result, queries, out_edges in self._apply_rules(
-                    task, label, store_id, tup
-                ):
-                    service += profile.per_result
-                    emissions.append((result, queries, out_edges))
-                service += self._last_probe_cost * profile.per_comparison
-                if self._last_stored:
-                    service += profile.per_store
-                done = start + service
-                task.next_free = done
-                if machine is not None:
-                    self._machine_free[machine] = done
-                self.metrics.last_completion = max(
-                    self.metrics.last_completion, done
-                )
-                for result, queries, out_edges in emissions:
-                    for query in queries:
-                        self._emit(query, result, done)
-                    for out_label in out_edges:
-                        self._send_timed(heap, seq, out_label, result, done)
-            self._maybe_evict(now)
-            self._check_memory()
-
-    def _send_timed(
-        self,
-        heap: List[_TimedEvent],
-        seq: Iterator[int],
-        label: str,
-        tup: StreamTuple,
-        now: float,
-    ) -> None:
-        edge = self.edge_spec(label)
-        spec = self._store_spec(edge.target_store)
-        targets = self._resolve_targets(label, edge, spec, tup)
-        self.metrics.on_send(len(targets))
-        arrival = now + self.config.profile.network_delay
-        for task_index in targets:
-            self._queue_units += tup.width
-            heapq.heappush(
-                heap,
-                (
-                    arrival,
-                    next(seq),
-                    "msg",
-                    (label, edge.target_store, task_index, tup),
-                ),
-            )
-
-    # ------------------------------------------------------------------
-    # shared rule execution
-    # ------------------------------------------------------------------
-    _last_probe_cost: int = 0
-    _last_stored: bool = False
-
-    def _apply_rules(
-        self, task: StoreTask, label: str, store_id: str, tup: StreamTuple
-    ) -> List[Tuple[StreamTuple, Tuple[str, ...], Tuple[str, ...]]]:
-        """Execute Algorithm 3 for one delivered tuple (timed mode).
-
-        Returns ``(result, completed queries, out edges)`` triples; raw
-        storage produces no emissions.
-        """
-        self._last_probe_cost = 0
-        self._last_stored = False
-        emissions: List[Tuple[StreamTuple, Tuple[str, ...], Tuple[str, ...]]] = []
-        for rule in self.rules_for(store_id, label):
-            if isinstance(rule, StoreRule):
-                task.insert(self._epoch, tup)
-                self.metrics.on_store(tup.width)
-                self._last_stored = True
-            elif isinstance(rule, ProbeRule):
-                task.probes_seen += 1
-                oriented = self._oriented_for(rule, tup.lineage)
-                matches, checked = probe_batch(
-                    task.container(self._epoch),
-                    (tup,),
-                    oriented,
-                    self.windows,
-                    self._uniform_window,
-                    self._seq_visibility,
-                )
-                self.metrics.on_probe(checked)
-                self._last_probe_cost += checked
-                for match in matches:
-                    emissions.append((match, rule.outputs, rule.out_edges))
-        return emissions
-
-    def _store_spec(self, store_id: str) -> StoreSpec:
-        """Store-spec lookup (archived across switches by adaptive runtimes)."""
-        return self.topology.stores[store_id]
-
     def _resolve_targets(
         self, label: str, edge: EdgeSpec, spec: StoreSpec, tup: StreamTuple
     ) -> List[int]:
@@ -992,7 +753,7 @@ class TopologyRuntime(Runtime):
         limit = self.config.memory_limit_units
         if limit is None:
             return
-        usage = self.metrics.stored_units + self._queue_units
+        usage = self.metrics.stored_units
         if usage > limit:
             self.metrics.on_failure(
                 f"memory overflow: {usage:.0f} units > limit {limit:.0f}"

@@ -742,8 +742,6 @@ class ShardedRuntime(Runtime):
         sharded traffic.  ``None`` (default) disables collection.  ``sink``
         receives every merged result (:class:`Runtime`)."""
         super().__init__(topology, windows, config or RuntimeConfig(workers=2), sink)
-        if self.config.mode != "logical":
-            raise ValueError("sharded execution supports logical mode only")
         if self.config.memory_limit_units is not None:
             raise ValueError(
                 "memory_limit_units does not compose with sharded execution"

@@ -396,8 +396,6 @@ class StoreTask:
     task_index: int
     retention: float
     containers: Dict[int, StoreBackend] = field(default_factory=dict)
-    #: timed-mode queueing state: when this server is next idle
-    next_free: float = 0.0
     #: configured container implementation ("python"|"columnar"|"auto")
     backend: str = "python"
     #: concrete choice for ``backend="auto"`` tasks (set at install time;
@@ -506,7 +504,6 @@ class StoreTask:
             "store_id": self.store_id,
             "task_index": self.task_index,
             "retention": self.retention,
-            "next_free": self.next_free,
             "backend": self.backend,
             "resolved_backend": self.resolved_backend,
             "probes_seen": self.probes_seen,
@@ -532,7 +529,6 @@ class StoreTask:
             store_id=state["store_id"],
             task_index=int(state["task_index"]),
             retention=state["retention"],
-            next_free=state["next_free"],
             backend=state["backend"],
             resolved_backend=state["resolved_backend"],
             probes_seen=int(state["probes_seen"]),

@@ -3,6 +3,8 @@
 * :mod:`repro.experiments.fig7` — multi-query performance grid (7b/7c/7d)
 * :mod:`repro.experiments.fig8` — adaptive execution (8a/8b)
 * :mod:`repro.experiments.fig9` — ILP study (9a–9f)
+* :mod:`repro.experiments.timed` — the discrete-event simulator behind
+  figures 7 and 8 (service times, machine pool, queued-message memory)
 * :mod:`repro.experiments.shapes` — workload breadth beyond the paper:
   chain/star/cycle shapes × uniform/Zipf/out-of-order arrival regimes
 * :mod:`repro.experiments.live` — session churn: push ingestion with

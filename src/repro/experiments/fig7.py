@@ -1,8 +1,8 @@
 """Multi-query performance on TPC-H streams: Figures 7b / 7c / 7d.
 
 For 5 and 10 queries, each of the strategies FI / SI / FS / SS / CMQO is
-compiled into a topology and executed on the timed engine over the same
-TPC-H-shaped stream.  Reported per strategy:
+compiled into a topology and executed on the timed simulator
+(:mod:`repro.experiments.timed`) over the same TPC-H-shaped stream.  Reported per strategy:
 
 * throughput — processed input tuples per simulated second (Fig. 7b),
 * peak memory — Σ stored tuple-units across all stores (Fig. 7c); the
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from ..baselines.strategies import STRATEGIES, build_strategy
 from ..core.partitioning import ClusterConfig
 from ..core.query import Query
-from ..engine.runtime import RuntimeConfig, TopologyRuntime
+from ..engine.runtime import RuntimeConfig
 from ..streams.generators import generate_streams
 from ..streams.tpch import (
     five_query_workload,
@@ -32,6 +32,7 @@ from ..streams.tpch import (
     tpch_catalog,
     tpch_specs,
 )
+from .timed import TimedSimulator
 
 __all__ = ["Fig7Row", "run_fig7", "workload_for"]
 
@@ -104,26 +105,21 @@ def run_fig7(
         )
         profile = compiled.profile.scaled(profile_scale)
 
-        # throughput: overload the fixed worker pool, measure the drain rate
-        overload_rt = TopologyRuntime(
-            compiled.topology,
-            windows,
-            RuntimeConfig(
-                mode="timed", profile=profile, collect_outputs=False,
+        def simulator() -> TimedSimulator:
+            return TimedSimulator(
+                compiled.topology,
+                windows,
+                RuntimeConfig(collect_outputs=False),
+                profile=profile,
                 num_machines=num_machines,
-            ),
-        )
+            )
+
+        # throughput: overload the fixed worker pool, measure the drain rate
+        overload_rt = simulator()
         overload_rt.run(overload_inputs)
 
         # memory + latency: moderate load, full history
-        runtime = TopologyRuntime(
-            compiled.topology,
-            windows,
-            RuntimeConfig(
-                mode="timed", profile=profile, collect_outputs=False,
-                num_machines=num_machines,
-            ),
-        )
+        runtime = simulator()
         runtime.run(inputs)
         m = runtime.metrics
         rows.append(

@@ -30,10 +30,11 @@ from ..core.ilp_builder import OptimizerConfig
 from ..core.partitioning import ClusterConfig
 from ..core.predicates import JoinPredicate
 from ..core.query import Query
-from ..engine.epochs import AdaptiveRuntime
+from ..engine.adaptivity import AdaptivityLoop
 from ..engine.profiles import CLASH_PROFILE
 from ..engine.runtime import RuntimeConfig
 from ..streams.generators import StreamSpec, generate_streams
+from .timed import TimedSimulator
 
 __all__ = ["Fig8Outcome", "run_fig8a", "run_fig8b", "LINEAR_QUERY"]
 
@@ -84,17 +85,18 @@ def _run(
         cluster=ClusterConfig(default_parallelism=parallelism)
     )
     controller = AdaptiveController(catalog, [LINEAR_QUERY], config, solver=solver)
-    runtime = AdaptiveRuntime(
+    loop = AdaptivityLoop(
         controller,
-        {name: window for name in rates},
-        RuntimeConfig(
-            mode="timed",
-            profile=CLASH_PROFILE.scaled(profile_scale),
-            collect_outputs=False,
-            memory_limit_units=memory_limit,
-        ),
         epoch_length=epoch_length,
+        cluster=config.cluster,
         adapt=adapt,
+    )
+    runtime = TimedSimulator(
+        controller.initial_topology(loop.cluster),
+        {name: window for name in rates},
+        RuntimeConfig(collect_outputs=False, memory_limit_units=memory_limit),
+        profile=CLASH_PROFILE.scaled(profile_scale),
+        loop=loop,
     )
 
     specs = [

@@ -1,6 +1,6 @@
 """Workload-breadth scenario: throughput across query shapes and arrival regimes.
 
-Runs the optimized engine (logical mode, wall-clock timed) over the three
+Runs the optimized engine (wall-clock timed) over the three
 canonical join-graph topologies — chain, star, and cycle — each under three
 arrival regimes:
 
@@ -166,15 +166,12 @@ def run_shapes(
             if regime == "ooo":
                 feed = bounded_delay_feed(streams, disorder_bound, seed=seed + 1)
                 runtime_config = RuntimeConfig(
-                    mode="logical",
                     disorder_bound=disorder_bound,
                     store_backend=store_backend,
                 )
             else:
                 feed = inputs
-                runtime_config = RuntimeConfig(
-                    mode="logical", store_backend=store_backend
-                )
+                runtime_config = RuntimeConfig(store_backend=store_backend)
             runtime = TopologyRuntime(topology, windows, runtime_config)
             start = time.perf_counter()
             metrics = runtime.run(feed)
@@ -222,7 +219,7 @@ def main() -> None:
     rows = run_shapes(store_backend=args.backend)
     print(
         "# workload breadth: shape x arrival regime "
-        f"(logical mode, {args.backend} backend)"
+        f"({args.backend} backend)"
     )
     print(
         format_table(

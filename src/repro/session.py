@@ -21,7 +21,7 @@ execution runtime behind a single fluent object::
 Key behaviours:
 
 * **Push-based ingestion** — ``push`` / ``push_batch`` feed tuples one at a
-  time; the engine's micro-batched logical cascade runs underneath
+  time; the engine's micro-batched cascade runs underneath
   (:meth:`~repro.engine.runtime.TopologyRuntime.process`).  Ordered mode
   requires timestamp-sorted pushes; passing ``disorder_bound`` switches the
   session to watermark mode with bounded out-of-order pushes.  The arrival
@@ -54,6 +54,7 @@ the underlying :class:`~repro.core.query.Query` constructor.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import (
@@ -285,7 +286,7 @@ class JoinSession:
         changes on query churn or an explicit :meth:`reoptimize`.  With an
         interval ``E`` the session drives the same
         :class:`~repro.engine.adaptivity.AdaptivityLoop` as
-        :class:`~repro.engine.epochs.AdaptiveRuntime`: statistics from
+        :class:`~repro.engine.adaptivity.AdaptiveRuntime`: statistics from
         epoch *i* are measured at the first push of epoch *i+1* and a
         changed plan is installed live (state migration + backfill) at the
         start of epoch *i+2* — including under ``workers > 1``, where the
@@ -366,11 +367,6 @@ class JoinSession:
             cluster=ClusterConfig(default_parallelism=parallelism)
         )
         if runtime_config is not None:
-            if runtime_config.mode != "logical":
-                raise ValueError(
-                    "JoinSession drives the engine through the push API, "
-                    "which requires logical mode"
-                )
             if (
                 disorder_bound is not None
                 and runtime_config.disorder_bound != engine_bound
@@ -432,7 +428,6 @@ class JoinSession:
                     auto_probe_threshold
                 )
             self._runtime_config = RuntimeConfig(
-                mode="logical",
                 disorder_bound=engine_bound,
                 store_backend=store_backend or "python",
                 workers=workers or 1,
@@ -716,6 +711,13 @@ class JoinSession:
         the engine ingested — even if the drain fails partway.
         """
         policy = self.on_late if on_late is None else _check_on_late(on_late)
+        if not math.isfinite(tup.trigger_ts):
+            # +inf would pin its stream's high water (every later push is
+            # late forever), NaN would disable the order check for good
+            raise SessionError(
+                f"event timestamp must be finite, got ts={tup.trigger_ts!r} "
+                f"for relation {tup.trigger!r}"
+            )
         runtime = self._runtime
         if runtime is not None and runtime.metrics.failed:
             # process() would silently drop the tuple; a facade that
@@ -735,8 +737,8 @@ class JoinSession:
                     int(ts // loop.epoch_length) > loop.current_epoch
                 ):
                     # cross any epoch boundary *before* this tuple is
-                    # delivered — the same ordering as AdaptiveRuntime's
-                    # on_input_boundary hook, so periodic decisions and
+                    # delivered — the same ordering as
+                    # AdaptiveRuntime.process, so periodic decisions and
                     # installs land at identical points of the feed.  Only a
                     # boundary-crossing tuple pays the pre-check (it guards
                     # a rejected straggler from triggering a boundary the
@@ -1344,6 +1346,11 @@ class JoinSession:
             raise SessionError(
                 "verify() needs the input history; construct the session "
                 "with record_streams=True"
+            )
+        if not self._runtime_config.collect_outputs:
+            raise SessionError(
+                "verify() compares the oracle against the collected results; "
+                "this session's runtime_config has collect_outputs=False"
             )
         if self._ambiguous_ts and (
             self._drops

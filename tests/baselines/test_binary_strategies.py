@@ -92,7 +92,7 @@ class TestBinaryPlan:
         topo = build_topology(plan, catalog, cluster)
         streams, inputs = make_streams(11, 250, rels="RST")
         windows = {r: 8.0 for r in "RST"}
-        rt = TopologyRuntime(topo, windows, RuntimeConfig(mode="logical"))
+        rt = TopologyRuntime(topo, windows, RuntimeConfig())
         rt.run(inputs)
         assert result_keys(rt.results("q")) == result_keys(
             reference_join(q, streams, windows)
@@ -105,7 +105,7 @@ class TestBinaryPlan:
         topo = build_topology(plan, catalog, cluster)
         streams, inputs = make_streams(12, 250)
         windows = {r: 8.0 for r in "RSTU"}
-        rt = TopologyRuntime(topo, windows, RuntimeConfig(mode="logical"))
+        rt = TopologyRuntime(topo, windows, RuntimeConfig())
         rt.run(inputs)
         assert result_keys(rt.results("q")) == result_keys(
             reference_join(q, streams, windows)
@@ -159,7 +159,7 @@ class TestStrategies:
                 solver="own",
             )
             rt = TopologyRuntime(
-                compiled.topology, windows, RuntimeConfig(mode="logical")
+                compiled.topology, windows, RuntimeConfig()
             )
             rt.run(inputs)
             for q in queries:

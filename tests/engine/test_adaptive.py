@@ -151,7 +151,7 @@ class TestAdaptiveRuntime:
         streams, inputs = shifted_workload()
         windows = {r: 5.0 for r in "RSTU"}
         rt = AdaptiveRuntime(
-            ctrl, windows, RuntimeConfig(mode="logical"), epoch_length=2.0
+            ctrl, windows, RuntimeConfig(), epoch_length=2.0
         )
         rt.run(inputs)
         assert rt.switches, "the shift must trigger at least one switch"
@@ -166,7 +166,7 @@ class TestAdaptiveRuntime:
         rt = AdaptiveRuntime(
             ctrl,
             windows,
-            RuntimeConfig(mode="logical"),
+            RuntimeConfig(),
             epoch_length=2.0,
             adapt=False,
         )
@@ -182,7 +182,7 @@ class TestAdaptiveRuntime:
         _, inputs = shifted_workload()
         windows = {r: 5.0 for r in "RSTU"}
         rt = AdaptiveRuntime(
-            ctrl, windows, RuntimeConfig(mode="logical"), epoch_length=2.0
+            ctrl, windows, RuntimeConfig(), epoch_length=2.0
         )
         rt.run(inputs)
         for record in rt.switches:
@@ -196,7 +196,7 @@ class TestAdaptiveRuntime:
         streams, inputs = shifted_workload()
         windows = {r: 5.0 for r in "RSTU"}
         rt = AdaptiveRuntime(
-            ctrl, windows, RuntimeConfig(mode="logical"), epoch_length=2.0
+            ctrl, windows, RuntimeConfig(), epoch_length=2.0
         )
         rt.run(inputs)
         if rt.switches:
@@ -207,30 +207,37 @@ class TestAdaptiveRuntime:
         streams, inputs = shifted_workload()
         windows = {r: 5.0 for r in "RSTU"}
         rt = AdaptiveRuntime(
-            ctrl, windows, RuntimeConfig(mode="logical"), epoch_length=2.0
+            ctrl, windows, RuntimeConfig(), epoch_length=2.0
         )
         rt.run(inputs)
         removed = {s for rec in rt.switches for s in rec.removed_stores}
         active = set(rt.topology.stores)
         for store_id in removed - active:
-            # logical mode drops the retired store's tasks outright (no
-            # in-flight messages can need them); any retained tasks (timed
-            # mode) must at least have released their state
-            assert all(
-                task.stored_tuples() == 0
-                for task in rt.tasks.get(store_id, [])
-            )
+            # a retired store's tasks are dropped outright: no message can
+            # be in flight across an install
+            assert store_id not in rt.tasks
 
-    def test_timed_adaptive_runs_to_completion(self):
-        ctrl, q = make_controller()
-        _, inputs = shifted_workload(n=400)
-        windows = {r: 5.0 for r in "RSTU"}
-        rt = AdaptiveRuntime(
-            ctrl, windows, RuntimeConfig(mode="timed"), epoch_length=2.0
-        )
-        rt.run(inputs)
-        assert rt.metrics.results_emitted > 0
-        assert not rt.metrics.failed
+    def test_install_on_pending_micro_batch_is_invisible(self):
+        """An epoch boundary may land on a pending micro-batch: install()
+        flushes it against the old plan first, so batching changes neither
+        the decisions, nor the switch points, nor the results."""
+        runs = {}
+        for batch_size in (1, 64):
+            ctrl, q = make_controller()
+            streams, inputs = shifted_workload()
+            windows = {r: 5.0 for r in "RSTU"}
+            rt = AdaptiveRuntime(
+                ctrl, windows, RuntimeConfig(batch_size=batch_size), epoch_length=2.0
+            )
+            rt.run(inputs)
+            runs[batch_size] = (
+                [(d.epoch, d.changed, round(d.objective, 6)) for d in ctrl.decisions],
+                [(s.epoch, s.time, s.added_stores, s.removed_stores) for s in rt.switches],
+                result_keys(rt.results("q")),
+            )
+        assert runs[1][1], "the shift must trigger at least one switch"
+        assert runs[1] == runs[64]
+        assert runs[64][2] == result_keys(reference_join(q, streams, windows))
 
 
 class TestWindowGrowth:
@@ -263,7 +270,7 @@ class TestWindowGrowth:
         rt = RewirableRuntime(
             self._topology(2.0),
             {"R": 2.0, "S": 2.0},
-            RuntimeConfig(mode="logical"),
+            RuntimeConfig(),
         )
         rt.run([input_tuple("R", 0.5, {"a": 1})])
         rt.install(self._topology(5.0), now=0.6, windows={"R": 5.0, "S": 5.0})
@@ -279,7 +286,7 @@ class TestWindowGrowth:
         rt = RewirableRuntime(
             self._topology(2.0),
             {"R": 2.0, "S": 2.0},
-            RuntimeConfig(mode="logical", evict_every=1),
+            RuntimeConfig(evict_every=1),
         )
         rt.run(
             [
@@ -305,7 +312,7 @@ class TestWindowGrowth:
         rt = RewirableRuntime(
             self._topology(4.0),
             {"R": 4.0, "S": 4.0},
-            RuntimeConfig(mode="logical"),
+            RuntimeConfig(),
         )
         rt.run([input_tuple("R", 0.5, {"a": 1})])
         rt.install(self._topology(2.0), now=1.0, windows={"R": 2.0, "S": 2.0})

@@ -256,7 +256,7 @@ class TestDifferentialLogical:
         )
         topology = compile_topology(queries, relations, windows, parallelism, seed)
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical")
+            topology, windows, RuntimeConfig()
         )
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
@@ -272,7 +272,7 @@ class TestDifferentialLogical:
         runtime = TopologyRuntime(
             topology,
             windows,
-            RuntimeConfig(mode="logical", batch_size=batch_size),
+            RuntimeConfig(batch_size=batch_size),
         )
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
@@ -287,7 +287,7 @@ class TestDifferentialLogical:
         runtime = TopologyRuntime(
             topology,
             windows,
-            RuntimeConfig(mode="logical", evict_every=evict_every),
+            RuntimeConfig(evict_every=evict_every),
         )
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
@@ -303,7 +303,7 @@ class TestDifferentialShapes:
         )
         topology = compile_topology(queries, relations, windows, parallelism, seed)
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical")
+            topology, windows, RuntimeConfig()
         )
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
@@ -317,7 +317,7 @@ class TestDifferentialShapes:
             queries, relations, windows, parallelism, seed, solver="greedy"
         )
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical")
+            topology, windows, RuntimeConfig()
         )
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
@@ -358,7 +358,7 @@ class TestDifferentialSkew:
             queries, relations, windows, parallelism, seed, solver="greedy"
         )
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical")
+            topology, windows, RuntimeConfig()
         )
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
@@ -388,7 +388,6 @@ class TestDifferentialOutOfOrder:
             topology,
             windows,
             RuntimeConfig(
-                mode="logical",
                 disorder_bound=bound,
                 evict_every=rng.choice([16, 256]),
             ),
@@ -415,7 +414,6 @@ class TestDifferentialOutOfOrder:
             topology,
             windows,
             RuntimeConfig(
-                mode="logical",
                 disorder_bound=1.5,
                 batch_size=batch_size,
                 evict_every=evict_every,
@@ -436,7 +434,7 @@ class TestDifferentialOutOfOrder:
         runtime = TopologyRuntime(
             topology,
             windows,
-            RuntimeConfig(mode="logical", disorder_bound=0.5, evict_every=8),
+            RuntimeConfig(disorder_bound=0.5, evict_every=8),
         )
         runtime.run(feed)
         assert runtime.metrics.stored_units < runtime.metrics.peak_stored_units
@@ -487,7 +485,7 @@ class TestDifferentialUnequalWindows:
         )
         topology = compile_topology(queries, relations, windows, 2, seed)
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical")
+            topology, windows, RuntimeConfig()
         )
         assert runtime._uniform_window is None
         runtime.run(inputs)
@@ -502,7 +500,7 @@ class TestDifferentialUnequalWindows:
         windows = {rel: 3.0 for rel in relations}
         topology = compile_topology(queries, relations, windows, 2, 3)
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical")
+            topology, windows, RuntimeConfig()
         )
         assert runtime._uniform_window == 3.0
         runtime.run(inputs)
@@ -534,7 +532,7 @@ class TestDifferentialBackends:
         runtime = TopologyRuntime(
             topology,
             windows,
-            RuntimeConfig(mode="logical", store_backend=backend),
+            RuntimeConfig(store_backend=backend),
         )
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
@@ -555,7 +553,7 @@ class TestDifferentialBackends:
             topology,
             windows,
             RuntimeConfig(
-                mode="logical", disorder_bound=bound, store_backend=backend
+                disorder_bound=bound, store_backend=backend
             ),
         )
         runtime.run(feed)
@@ -575,7 +573,6 @@ class TestDifferentialBackends:
             topology,
             windows,
             RuntimeConfig(
-                mode="logical",
                 disorder_bound=0.5,
                 evict_every=evict_every,
                 store_backend="columnar",
@@ -597,7 +594,7 @@ class TestDifferentialBackends:
             runtime = TopologyRuntime(
                 topology,
                 windows,
-                RuntimeConfig(mode="logical", store_backend=backend),
+                RuntimeConfig(store_backend=backend),
             )
             runtime.run(inputs)
             m = runtime.metrics
@@ -699,7 +696,7 @@ class TestDifferentialAdaptive:
         runtime = AdaptiveRuntime(
             controller,
             windows,
-            RuntimeConfig(mode="logical"),
+            RuntimeConfig(),
             epoch_length=2.0,
         )
         runtime.run(inputs)
@@ -753,7 +750,7 @@ class TestDifferentialSharded:
             queries, relations, windows, parallelism, seed, solver=solver
         )
         config = RuntimeConfig(
-            mode="logical", disorder_bound=bound, store_backend=backend
+            disorder_bound=bound, store_backend=backend
         )
         base = TopologyRuntime(topology, windows, config)
         base.run(_fresh_feed(feed))
@@ -791,7 +788,7 @@ class TestDifferentialSharded:
         topology = compile_topology(
             queries, relations, windows, parallelism, seed, solver=solver
         )
-        config = RuntimeConfig(mode="logical", disorder_bound=1.0)
+        config = RuntimeConfig(disorder_bound=1.0)
         feed = list(bounded_delay_feed(streams, 1.0, seed=seed))
         base = TopologyRuntime(topology, windows, config)
         base.run(_fresh_feed(feed))
@@ -827,7 +824,7 @@ class TestDifferentialSharded:
         streams, inputs = generate_streams(specs, 6.0, seed=17)
         windows = {"R": 3.0, "S": 3.0}
         topology = compile_topology(queries, ["R", "S"], windows, 2, 17)
-        config = RuntimeConfig(mode="logical")
+        config = RuntimeConfig()
         base = TopologyRuntime(topology, windows, config)
         base.run(_fresh_feed(list(inputs)))
         sharded = ShardedRuntime(
@@ -896,7 +893,7 @@ class TestDifferentialAutoBackend:
         summaries, results = {}, {}
         for backend in ("python", "columnar", "auto"):
             config = RuntimeConfig(
-                mode="logical", disorder_bound=bound, store_backend=backend
+                disorder_bound=bound, store_backend=backend
             )
             if workers == 1:
                 runtime = TopologyRuntime(topology, windows, config)
@@ -940,7 +937,6 @@ class TestDifferentialAutoBackend:
                 topology,
                 windows,
                 RuntimeConfig(
-                    mode="logical",
                     store_backend=backend,
                     auto_width_threshold=1,
                     auto_probe_threshold=1,
@@ -1050,7 +1046,6 @@ class TestDifferentialVectorized:
                 topology,
                 windows,
                 RuntimeConfig(
-                    mode="logical",
                     disorder_bound=bound,
                     store_backend="columnar",
                     vectorized_cascades=vectorized,
@@ -1094,7 +1089,7 @@ class TestDifferentialVectorized:
         runtime = TopologyRuntime(
             topology,
             windows,
-            RuntimeConfig(mode="logical", store_backend=backend),
+            RuntimeConfig(store_backend=backend),
         )
         runtime.run(feed)
         assert runtime.metrics.probes_executed > 0
@@ -1140,7 +1135,7 @@ class TestDifferentialAdaptiveWatermark:
         runtime = AdaptiveRuntime(
             controller,
             windows,
-            RuntimeConfig(mode="logical", disorder_bound=1.0),
+            RuntimeConfig(disorder_bound=1.0),
             epoch_length=2.0,
         )
         runtime.run(feed)
@@ -1184,7 +1179,7 @@ class TestDifferentialUnifiedAdaptivity:
         runtime = AdaptiveRuntime(
             controller,
             dict(windows),
-            RuntimeConfig(mode="logical", disorder_bound=bound),
+            RuntimeConfig(disorder_bound=bound),
             epoch_length=self.EPOCH,
         )
         return controller, runtime

@@ -199,7 +199,7 @@ class TestSnapshotLayout:
         assert "first_ts" not in payload["ingest"]
 
     def test_version_1_snapshot_is_refused_by_name(self, tmp_path):
-        assert SNAPSHOT_VERSION == 2
+        assert SNAPSHOT_VERSION == 3
         path = tmp_path / "v1.snap"
         with open(path, "wb") as handle:
             pickle.dump(
@@ -209,6 +209,18 @@ class TestSnapshotLayout:
         with pytest.raises(SnapshotError, match="payload version 1"):
             read_snapshot(path)
         with pytest.raises(SnapshotError, match="payload version 1"):
+            JoinSession.restore(path)
+
+    def test_version_2_snapshot_is_refused_by_name(self, tmp_path):
+        """v2 payloads pickle a RuntimeConfig with mode/profile/num_machines
+        and store tasks with ``next_free``; there is no cross-version reader."""
+        path = tmp_path / "v2.snap"
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"magic": SNAPSHOT_MAGIC, "version": 2, "payload": {"ingest": {}}},
+                handle,
+            )
+        with pytest.raises(SnapshotError, match="payload version 2"):
             JoinSession.restore(path)
 
 

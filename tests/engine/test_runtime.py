@@ -53,7 +53,7 @@ def optimize_and_run(queries, catalog, inputs, windows, parallelism=2, **cfg_kwa
     opt = MultiQueryOptimizer(catalog, cfg, solver="own")
     res = opt.optimize(queries)
     topo = build_topology(res.plan, catalog, cfg.cluster)
-    rt = TopologyRuntime(topo, windows, RuntimeConfig(mode="logical"))
+    rt = TopologyRuntime(topo, windows, RuntimeConfig())
     rt.run(inputs)
     return rt, res
 
@@ -119,7 +119,7 @@ class TestLogicalCorrectness:
         opt = MultiQueryOptimizer(cat, cfg, solver="own")
         res = opt.optimize([q1, q2])
         topo = build_topology(res.plan, cat, cfg.cluster)
-        rt = TopologyRuntime(topo, windows, RuntimeConfig(mode="logical"))
+        rt = TopologyRuntime(topo, windows, RuntimeConfig())
         rt.run(inputs)
         for q in (q1, q2):
             assert result_keys(rt.results(q.name)) == result_keys(
@@ -206,61 +206,8 @@ class TestMetrics:
         rt = TopologyRuntime(
             topo,
             {"R": 8.0, "S": 8.0},
-            RuntimeConfig(mode="logical", memory_limit_units=20),
+            RuntimeConfig(memory_limit_units=20),
         )
         rt.run(inputs)
         assert rt.metrics.failed
         assert "memory overflow" in rt.metrics.failure_reason
-
-
-class TestTimedMode:
-    def _run(self, profile_scale=1.0, n=300, rate_step=0.02):
-        from repro.engine.profiles import CLASH_PROFILE
-
-        q = Query.of("q", "R.a=S.a", "S.b=T.b")
-        cat = base_catalog()
-        streams, inputs = make_streams(10, n, rels="RST", rate_step=rate_step)
-        windows = {r: 8.0 for r in "RST"}
-        cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=2))
-        opt = MultiQueryOptimizer(cat, cfg, solver="own")
-        res = opt.optimize([q])
-        topo = build_topology(res.plan, cat, cfg.cluster)
-        rt = TopologyRuntime(
-            topo,
-            windows,
-            RuntimeConfig(
-                mode="timed", profile=CLASH_PROFILE.scaled(profile_scale)
-            ),
-        )
-        rt.run(inputs)
-        return rt, streams, windows, q
-
-    def test_timed_mode_produces_results_with_latency(self):
-        rt, streams, windows, q = self._run()
-        assert rt.metrics.results_emitted > 0
-        assert rt.metrics.mean_latency > 0
-
-    def test_timed_mode_result_set_nearly_complete(self):
-        """Timed mode is asynchronous: in-flight MIR deliveries can race
-        probes (as in any real distributed engine), so a small fraction of
-        results may be missed — but never invented."""
-        rt, streams, windows, q = self._run()
-        ref = result_keys(reference_join(q, streams, windows))
-        got = result_keys(rt.results(q.name))
-        assert not (got - ref), "timed mode must not invent results"
-        assert len(got) >= 0.95 * len(ref)
-
-    def test_slower_profile_increases_latency(self):
-        fast, *_ = self._run(profile_scale=1.0)
-        slow, *_ = self._run(profile_scale=50.0)
-        assert slow.metrics.mean_latency > fast.metrics.mean_latency
-
-    def test_latency_timeline_buckets(self):
-        rt, *_ = self._run()
-        timeline = rt.metrics.latency_timeline(bucket=1.0)
-        assert timeline
-        assert all(lat >= 0 for _, lat in timeline)
-
-    def test_throughput_positive(self):
-        rt, *_ = self._run()
-        assert rt.metrics.throughput > 0

@@ -32,7 +32,7 @@ from repro import (
 )
 from repro.core import ClusterConfig, MultiQueryOptimizer, OptimizerConfig
 from repro.core.adaptive import diff_topologies
-from repro.engine import reference_join, result_keys
+from repro.engine import input_tuple, reference_join, result_keys
 from repro.streams import (
     StreamSpec,
     bounded_delay_feed,
@@ -137,9 +137,49 @@ class TestSessionErrors:
         with pytest.raises(SessionError, match="record_streams"):
             session.verify()
 
-    def test_timed_runtime_config_rejected(self):
-        with pytest.raises(ValueError, match="logical mode"):
-            JoinSession(runtime_config=RuntimeConfig(mode="timed"))
+    def test_verify_requires_collected_outputs(self):
+        """With ``collect_outputs=False`` there is no result list to hold
+        against the oracle; verify() used to report a correct run as
+        ``MISMATCH (missing ...)``."""
+        session = JoinSession(
+            window=5.0,
+            solver="scipy",
+            runtime_config=RuntimeConfig(collect_outputs=False),
+        ).add_query("q", "R.a=S.a")
+        delivered = []
+        session.subscribe("q", delivered.append)
+        session.push("R", {"a": 1}, ts=1.0).push("S", {"a": 1}, ts=1.5).flush()
+        assert len(delivered) == 1 and session.results("q") == []
+        with pytest.raises(SessionError, match="collect_outputs"):
+            session.verify()
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    @pytest.mark.parametrize("disorder_bound", [None, 1.0])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_rejected_before_any_state(
+        self, bad, disorder_bound, backend
+    ):
+        """NaN as a stream's first tuple used to pin its high water at NaN
+        (and crash the columnar backend after the ingress advanced); +inf
+        made every later push late forever."""
+        session = JoinSession(
+            window=5.0,
+            solver="scipy",
+            store_backend=backend,
+            disorder_bound=disorder_bound,
+        ).add_query("q", "R.a=S.a")
+        with pytest.raises(SessionError, match="finite"):
+            session.push("R", {"a": 1}, ts=bad)
+        session.push("R", {"a": 1}, ts=1.0)
+        with pytest.raises(SessionError, match="finite"):
+            session.push_batch([("S", {"a": 1}, bad)])
+        with pytest.raises(SessionError, match="finite"):
+            session.push_batch([input_tuple("S", bad, {"a": 1})])
+        session.push("S", {"a": 1}, ts=1.5).flush()
+        assert session.pushed == 2
+        assert session.metrics.inputs_ingested == 2
+        assert len(session.results("q")) == 1
+        assert session.verify(raise_on_mismatch=True).ok
 
     def test_push_intermediate_tuple_rejected(self):
         session = basic_session()
@@ -270,7 +310,7 @@ class TestStoreBackendKnob:
         with pytest.raises(ValueError, match="store_backend given both"):
             JoinSession(
                 store_backend="columnar",
-                runtime_config=RuntimeConfig(mode="logical"),
+                runtime_config=RuntimeConfig(),
             )
 
     def test_unknown_backend_rejected(self):
@@ -297,7 +337,7 @@ class TestSessionBasics:
         config = OptimizerConfig(cluster=ClusterConfig(default_parallelism=1))
         optimizer = MultiQueryOptimizer(catalog, config, solver="scipy")
         topology = build_topology(optimizer.optimize(queries).plan, catalog, config.cluster)
-        runtime = TopologyRuntime(topology, windows, RuntimeConfig(mode="logical"))
+        runtime = TopologyRuntime(topology, windows, RuntimeConfig())
         runtime.run(inputs)
 
         session = JoinSession(window=2.5, solver="scipy")
@@ -398,7 +438,7 @@ class TestSessionBasics:
         that tipped it over, and on every push thereafter — nothing is
         silently dropped or recorded past the failure point."""
         session = basic_session(
-            runtime_config=RuntimeConfig(mode="logical", memory_limit_units=6.0)
+            runtime_config=RuntimeConfig(memory_limit_units=6.0)
         )
         _, inputs = generate_streams(chain_specs("RSTU", 8.0, 4), 4.0, seed=11)
         with pytest.raises(EngineFailedError, match="memory overflow"):
@@ -482,7 +522,7 @@ class TestSessionBasics:
         EngineFailedError on the warmup-ending push, not silence."""
         session = basic_session(
             warmup=30,
-            runtime_config=RuntimeConfig(mode="logical", memory_limit_units=6.0),
+            runtime_config=RuntimeConfig(memory_limit_units=6.0),
         )
         _, inputs = generate_streams(chain_specs("RSTU", 8.0, 4), 3.0, seed=14)
         with pytest.raises(EngineFailedError, match="warmup buffer"):
@@ -514,8 +554,8 @@ class TestSessionBasics:
         assert report.ok and report.checks["q1"].expected == 1
 
     def test_churn_does_not_accumulate_dead_state(self):
-        """Repeated add/remove over a logical session must not grow the
-        task map or archives with retired stores (long-lived service)."""
+        """Repeated add/remove over a session must not grow the task map
+        with retired stores (long-lived service)."""
         session = basic_session()
         _, inputs = generate_streams(chain_specs("RSTU", 8.0, 4), 3.0, seed=12)
         replay(session, inputs)
@@ -524,7 +564,6 @@ class TestSessionBasics:
             session.add_query(f"extra{i}", "S.b=T.b")
             session.remove_query(f"extra{i}")
         assert set(runtime.tasks) == set(runtime.topology.stores)
-        assert set(runtime._edge_archive) == set(runtime.topology.edges)
         assert session.verify(raise_on_mismatch=True).ok
 
     def test_results_survive_removal(self):

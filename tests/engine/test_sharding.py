@@ -187,10 +187,6 @@ class TestShardRouter:
 
 
 class TestConfigValidation:
-    def test_workers_require_logical_mode(self):
-        with pytest.raises(ValueError, match="logical"):
-            RuntimeConfig(mode="timed", workers=2)
-
     def test_workers_reject_memory_limit(self):
         with pytest.raises(ValueError, match="memory_limit"):
             RuntimeConfig(workers=2, memory_limit_units=100)

@@ -44,10 +44,6 @@ def small_topology(parallelism: int = 1):
 
 
 class TestConfigValidation:
-    def test_timed_mode_rejects_disorder(self):
-        with pytest.raises(ValueError, match="logical"):
-            RuntimeConfig(mode="timed", disorder_bound=1.0)
-
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             RuntimeConfig(disorder_bound=-0.5)
@@ -65,7 +61,7 @@ class TestConfigValidation:
         runtime = AdaptiveRuntime(
             controller,
             windows,
-            RuntimeConfig(mode="logical", disorder_bound=1.0),
+            RuntimeConfig(disorder_bound=1.0),
             epoch_length=2.0,
         )
         feed = [
@@ -143,7 +139,7 @@ class TestWatermarkRuntime:
         result must still be produced (triggered by the late arrival)."""
         query, topology, windows, *_ = small_topology()
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical", disorder_bound=2.0)
+            topology, windows, RuntimeConfig(disorder_bound=2.0)
         )
         feed = [
             input_tuple("S", 5.0, {"a": 1}),
@@ -156,7 +152,7 @@ class TestWatermarkRuntime:
 
     def test_in_order_mode_rejects_unsorted_feed(self):
         query, topology, windows, *_ = small_topology()
-        runtime = TopologyRuntime(topology, windows, RuntimeConfig(mode="logical"))
+        runtime = TopologyRuntime(topology, windows, RuntimeConfig())
         feed = [
             input_tuple("S", 5.0, {"a": 1}),
             input_tuple("R", 4.0, {"a": 1}),
@@ -167,7 +163,7 @@ class TestWatermarkRuntime:
     def test_straggler_beyond_bound_rejected(self):
         query, topology, windows, *_ = small_topology()
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical", disorder_bound=0.5)
+            topology, windows, RuntimeConfig(disorder_bound=0.5)
         )
         feed = [
             input_tuple("R", 5.0, {"a": 1}),
@@ -179,7 +175,7 @@ class TestWatermarkRuntime:
     def test_watermark_is_min_over_streams_minus_bound(self):
         query, topology, windows, *_ = small_topology()
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical", disorder_bound=1.0)
+            topology, windows, RuntimeConfig(disorder_bound=1.0)
         )
         # nothing seen yet: nothing may be evicted
         assert runtime.watermark() == float("-inf")
@@ -192,7 +188,7 @@ class TestWatermarkRuntime:
     def test_watermark_mode_assigns_increasing_seqs(self):
         query, topology, windows, *_ = small_topology()
         runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(mode="logical", disorder_bound=2.0)
+            topology, windows, RuntimeConfig(disorder_bound=2.0)
         )
         feed = [
             input_tuple("S", 5.0, {"a": 9}),

@@ -206,6 +206,50 @@ class TestDrainSurvives:
         # the failed items do not count as ingested
         assert server.ingested == 2
 
+    def test_non_finite_timestamp_refused_and_service_goes_on(self):
+        """``ts=Infinity`` used to be answered ``ok`` and pin the stream's
+        high water at +inf: every later push from every client was late
+        forever.  It now costs its sender an error frame and nothing else."""
+
+        async def scenario():
+            session = tiny_session(on_late="drop")
+            async with JoinServer(session) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                # json.dumps spells float("inf") as the bare token Infinity
+                bad = await self._exchange(
+                    reader,
+                    writer,
+                    {"op": "push", "id": 1, "relation": "R", "values": {"a": 1},
+                     "ts": float("inf")},
+                )
+                good = [
+                    await self._exchange(
+                        reader,
+                        writer,
+                        {"op": "push", "id": 2, "relation": "R", "values": {"a": 1},
+                         "ts": 1.0},
+                    ),
+                    await self._exchange(
+                        reader,
+                        writer,
+                        {"op": "push", "id": 3, "relation": "S", "values": {"a": 1},
+                         "ts": 1.5},
+                    ),
+                ]
+                results = await self._exchange(
+                    reader, writer, {"op": "results", "query": "q1", "id": 4}
+                )
+                writer.close()
+                return session, server, bad, good, results
+
+        session, server, bad, good, results = asyncio.run(scenario())
+        assert bad["kind"] == "error" and bad["id"] == 1
+        assert "finite" in bad["error"]
+        assert [(f["kind"], f["id"]) for f in good] == [("ok", 2), ("ok", 3)]
+        assert results["count"] == 1
+        assert server.ingested == 2
+        assert session.metrics.late_dropped == 0
+
     def test_in_process_bad_item_lands_in_server_errors(self):
         async def scenario():
             session = tiny_session()

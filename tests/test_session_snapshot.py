@@ -251,7 +251,7 @@ class TestCloseUnification:
         scout.start()
         topology = scout.topology
         with TopologyRuntime(
-            topology, {"R": 5.0, "S": 5.0}, RuntimeConfig(mode="logical")
+            topology, {"R": 5.0, "S": 5.0}, RuntimeConfig()
         ) as runtime:
             pass
         runtime.close()  # idempotent after __exit__
