@@ -13,9 +13,9 @@ via smaller ones).
 Cyclic join graphs need no special enumeration: a hop applies *every*
 query predicate connecting the accumulated prefix to the probed store
 (:meth:`ProbeOrder.hop_predicates`), so a cycle-closing predicate is
-simply picked up by whichever hop covers its second endpoint and executed
-there as a post-probe filter (the probe's hash index serves one predicate;
-the rest filter the candidates).
+simply picked up by whichever hop covers its second endpoint and becomes
+part of that hop's lookup key (the store is indexed on all of a hop's
+predicates together).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class ProbeOrder:
         Hop ``j`` applies every query predicate with one side in the
         accumulated prefix and the other in the probed store — including
         any cycle-closing predicate whose second endpoint this hop covers
-        (executed as a post-probe filter on the candidate set).
+        (the hop's predicates together form the store's lookup key).
         """
         hops: List[FrozenSet[JoinPredicate]] = []
         covered = set(self.start.relations)

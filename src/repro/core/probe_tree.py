@@ -13,7 +13,7 @@ as shared end up physically shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from .ilp_builder import CandidateInfo
 from .mir import Mir
@@ -33,7 +33,8 @@ class ProbeTreeNode:
         The probed store (input relation or MIR).
     predicates:
         The equi predicates applied at this hop (between the accumulated
-        prefix and this store's relations).
+        prefix and this store's relations); together they are the key the
+        store is looked up on, so their order carries no meaning.
     outputs:
         Query names whose result is complete at this node.
     deliveries:
@@ -45,39 +46,18 @@ class ProbeTreeNode:
     children: List["ProbeTreeNode"] = field(default_factory=list)
     outputs: List[str] = field(default_factory=list)
     deliveries: List[Mir] = field(default_factory=list)
-    #: hop predicates in execution order: spanning-tree predicates first
-    #: (one of them backs the store's hash index), cycle-closing predicates
-    #: last (post-probe filters); defaults to plain sorted order
-    ordered_predicates: Tuple[JoinPredicate, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.ordered_predicates:
-            self.ordered_predicates = tuple(sorted(self.predicates))
 
     def child_for(
-        self,
-        store: Mir,
-        predicates: FrozenSet[JoinPredicate],
-        ordered: Tuple[JoinPredicate, ...] = (),
+        self, store: Mir, predicates: FrozenSet[JoinPredicate]
     ) -> "ProbeTreeNode":
-        """Find or create the child node for a hop (prefix sharing).
-
-        A hop shared by several queries keeps the *first* query's
-        ``ordered`` tuple: if their spanning trees classify the hop's
-        predicates differently, the later query may index on what it
-        considers a cycle-closing predicate — a plan-quality tie-break,
-        never a semantic one (every hop predicate is applied regardless
-        of position).
-        """
+        """Find or create the child node for a hop (prefix sharing)."""
         for child in self.children:
             if (
                 child.store.canonical_id == store.canonical_id
                 and child.predicates == predicates
             ):
                 return child
-        child = ProbeTreeNode(
-            store=store, predicates=predicates, ordered_predicates=ordered
-        )
+        child = ProbeTreeNode(store=store, predicates=predicates)
         self.children.append(child)
         return child
 
@@ -96,10 +76,7 @@ class ProbeTree:
     roots: List[ProbeTreeNode] = field(default_factory=list)
 
     def root_for(
-        self,
-        store: Mir,
-        predicates: FrozenSet[JoinPredicate],
-        ordered: Tuple[JoinPredicate, ...] = (),
+        self, store: Mir, predicates: FrozenSet[JoinPredicate]
     ) -> ProbeTreeNode:
         for root in self.roots:
             if (
@@ -107,9 +84,7 @@ class ProbeTree:
                 and root.predicates == predicates
             ):
                 return root
-        root = ProbeTreeNode(
-            store=store, predicates=predicates, ordered_predicates=ordered
-        )
+        root = ProbeTreeNode(store=store, predicates=predicates)
         self.roots.append(root)
         return root
 
@@ -117,46 +92,22 @@ class ProbeTree:
         return sum(1 for root in self.roots for _ in root.walk())
 
 
-def _order_hop_predicates(
-    hop_preds: FrozenSet[JoinPredicate],
-    spanning: FrozenSet[JoinPredicate],
-) -> Tuple[JoinPredicate, ...]:
-    """Execution order of one hop's predicates: spanning tree first.
-
-    The first predicate backs the store's hash index, so a cyclic hop
-    indexes on a spanning-tree edge while the cycle-closing predicates run
-    as post-probe filters over the (already narrowed) candidate list.  The
-    order is deterministic — sorted within each group — so topologies and
-    their probe rules are reproducible across runs.
-    """
-    return tuple(
-        sorted(hop_preds, key=lambda p: (p not in spanning, p))
-    )
-
-
 def build_probe_trees(chosen: List[CandidateInfo]) -> Dict[str, ProbeTree]:
     """Merge chosen probe orders into one probe tree per starting relation."""
     trees: Dict[str, ProbeTree] = {}
-    spanning_cache: Dict[str, FrozenSet[JoinPredicate]] = {}
     for info in chosen:
         order = info.decorated.order
         start = order.start_relation
         tree = trees.setdefault(start, ProbeTree(start_relation=start))
 
-        spanning = spanning_cache.get(info.query.name)
-        if spanning is None:
-            spanning = info.query.spanning_predicates()
-            spanning_cache[info.query.name] = spanning
-
         node: Optional[ProbeTreeNode] = None
         for store, hop_preds in zip(
             order.sequence, order.hop_predicates(info.query)
         ):
-            ordered = _order_hop_predicates(hop_preds, spanning)
             if node is None:
-                node = tree.root_for(store, hop_preds, ordered)
+                node = tree.root_for(store, hop_preds)
             else:
-                node = node.child_for(store, hop_preds, ordered)
+                node = node.child_for(store, hop_preds)
 
         assert node is not None, "probe orders always probe at least one store"
         if order.is_maintenance:

@@ -12,8 +12,8 @@ The join graph may be any connected shape.  Beyond the generic
 paper's formulation (Section I.A poses no acyclicity restriction), and
 :meth:`Query.spanning_predicates` / :meth:`Query.cycle_closing_predicates`
 split the predicate set into a deterministic spanning tree and the
-remainder — the cycle-closing predicates the engine applies as post-probe
-filters once both endpoints are covered by a probe prefix.
+remainder — the cycle-closing predicates, each of which joins the lookup
+key of the probe hop that covers its second endpoint.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ class Query:
         previously unconnected relations joins the tree.  The complement
         (:meth:`cycle_closing_predicates`) holds the cycle-closing
         predicates plus any parallel predicate on an already-joined pair —
-        exactly the set a probe hop can only apply as post-probe filters.
+        the predicates that make a probe hop's lookup key wider than one
+        attribute.
         """
         parent = {rel: rel for rel in self.relations}
 

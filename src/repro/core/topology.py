@@ -75,7 +75,12 @@ class StoreRule:
 
 @dataclass(frozen=True)
 class ProbeRule:
-    """Probe the local container and forward/emit each join result."""
+    """Probe the local container and forward/emit each join result.
+
+    ``predicates`` are all the equalities of the hop; the engine looks the
+    container up on the whole set at once (their order is the sorted one,
+    for reproducibility only).
+    """
 
     predicates: Tuple[JoinPredicate, ...]
     out_edges: Tuple[str, ...]
@@ -222,14 +227,13 @@ class _TopologyBuilder:
         for target in node.deliveries:
             out_edges.append(self._wire_delivery(target))
 
-        # Execution order from the probe tree: spanning-tree predicates
-        # first (the leading one backs the store's hash index), cycle-closing
-        # predicates last, applied as post-probe filters.
+        # Sorted only to make the compiled rule reproducible: the engine
+        # looks the store up on all of the hop's predicates at once.
         self._add_rule(
             store_id,
             label,
             ProbeRule(
-                predicates=node.ordered_predicates,
+                predicates=tuple(sorted(node.predicates)),
                 out_edges=tuple(out_edges),
                 outputs=tuple(node.outputs),
             ),

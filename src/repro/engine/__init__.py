@@ -33,6 +33,7 @@ from .statistics import EpochStatistics
 from .stores import (
     STORE_BACKENDS,
     Container,
+    HopKey,
     StoreBackend,
     StoreTask,
     make_backend,
@@ -52,6 +53,7 @@ __all__ = [
     "EngineProfile",
     "EpochStatistics",
     "FLINK_PROFILE",
+    "HopKey",
     "Ingress",
     "LateArrivalError",
     "MemoryOverflowError",

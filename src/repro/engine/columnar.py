@@ -9,7 +9,14 @@ per (time bucket, attribute):
 * **interned key columns** — each join-attribute value is mapped to a
   small integer *code* through a per-attribute interning dict; equality
   probes become ``codes == probe_code`` array comparisons resolved with
-  ``np.flatnonzero`` instead of per-tuple predicate evaluation,
+  ``np.flatnonzero`` instead of per-tuple predicate evaluation.  A hop
+  with several equalities probes one **combined** code column, computed
+  from the per-attribute codes (:func:`_combine_codes`), and verifies the
+  survivors against the per-attribute columns,
+* **presence sets** — per bucket and probed column, the codes the column
+  holds: a probe skips every bucket that cannot hold its key before it
+  touches numpy, so an equality probe costs what it matches rather than
+  one array pass per live bucket,
 * **timestamp columns** — ``latest_ts`` / ``earliest_ts`` per row back the
   O(1) uniform-window check; per-relation event-timestamp columns (NaN
   where a row's lineage lacks the relation) back the general pairwise
@@ -25,7 +32,7 @@ Layout and growth policy:
   materialize matches,
 * arrays grow **append-only in chunks** (capacity doubling, never below
   :data:`MIN_CAPACITY`); an insert writes one scalar per active column,
-* attribute columns are **lazily activated** by the first probe that needs
+* code columns are **lazily activated** by the first probe that needs
   them (``column_builds`` counts the one-off backfills, the analogue of
   ``Container.index_rebuilds``) and maintained incrementally afterwards,
 * **eviction is bucket-sliced**: whole expired buckets are dropped in one
@@ -44,21 +51,28 @@ from __future__ import annotations
 import io
 from math import isinf
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
+    cast,
 )
 
 import numpy as np
 import numpy.typing as npt
 
 from .tuples import StreamTuple, intern_attr
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .stores import HopKey, Key
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
@@ -69,6 +83,44 @@ __all__ = ["ColumnarContainer", "ColumnBucket", "VectorBatch", "MIN_CAPACITY"]
 #: smallest per-bucket array allocation; doubles as the growth quantum for
 #: tiny buckets so chunked growth never degenerates into per-insert resizes
 MIN_CAPACITY = 64
+
+#: the combined code of a multi-attribute key is a polynomial hash of the
+#: per-attribute codes, kept non-negative in an int64.  Masking the low bits
+#: gives Python's unbounded integers and numpy's wrapping int64 arithmetic
+#: the same result.  Distinct keys may collide — probes verify survivors
+#: against the per-attribute columns, so a collision costs a comparison,
+#: never a wrong result.
+_KEY_MULTIPLIER = 1000003
+_KEY_MASK = (1 << 62) - 1
+
+
+def _intern_key(key: Key) -> Key:
+    """``key`` with its attribute names interned (``intern_attr``)."""
+    if isinstance(key, str):
+        return intern_attr(key)
+    return tuple(intern_attr(attr) for attr in key)
+
+
+def _combine_codes(codes: Iterable[int]) -> int:
+    """Combined code of a multi-attribute key from its per-attribute codes
+    (-1 when one of them is: a NaN value joins nothing)."""
+    combined = 0
+    for code in codes:
+        if code < 0:
+            return -1
+        combined = (combined * _KEY_MULTIPLIER + code) & _KEY_MASK
+    return combined
+
+
+def _combine_columns(columns: Sequence[IntArray]) -> IntArray:
+    """:func:`_combine_codes` over whole code columns (the backfill path)."""
+    combined = np.zeros(len(columns[0]), dtype=np.int64)
+    unjoinable = np.zeros(len(columns[0]), dtype=np.bool_)
+    for column in columns:
+        combined = (combined * _KEY_MULTIPLIER + column) & _KEY_MASK
+        unjoinable |= column < 0
+    combined[unjoinable] = -1
+    return combined
 
 
 def _array_bytes(arr: npt.NDArray[Any]) -> bytes:
@@ -190,9 +242,9 @@ class ColumnBucket:
     """One ``latest_ts`` slice of a columnar container.
 
     Owns the row list plus one array per core column (``latest``,
-    ``earliest``, ``seq``, ``width``) and per active attribute/relation
-    column.  Arrays are over-allocated (``size <= capacity``); views are
-    always taken as ``arr[:size]``.
+    ``earliest``, ``seq``, ``width``) and per active code/relation column.
+    Arrays are over-allocated (``size <= capacity``); views are always
+    taken as ``arr[:size]``.
     """
 
     __slots__ = (
@@ -204,6 +256,7 @@ class ColumnBucket:
         "seq",
         "width",
         "codes",
+        "present",
         "rel_ts",
     )
 
@@ -215,8 +268,13 @@ class ColumnBucket:
         self.earliest = np.empty(capacity, dtype=np.float64)
         self.seq = np.empty(capacity, dtype=np.int64)
         self.width = np.empty(capacity, dtype=np.int64)
-        #: attribute -> int64 code column (lazily activated)
-        self.codes: Dict[str, IntArray] = {}
+        #: attribute (interned codes) or attribute tuple (combined codes)
+        #: -> int64 code column (lazily activated)
+        self.codes: Dict[Key, IntArray] = {}
+        #: probed column -> the codes it holds in this bucket.  Derived
+        #: state: only ever membership-tested, rebuilt from the column
+        #: whenever rows leave, never dumped.
+        self.present: Dict[Key, Set[int]] = {}
         #: relation -> float64 event-timestamp column (NaN = not in lineage)
         self.rel_ts: Dict[str, FloatArray] = {}
 
@@ -245,6 +303,28 @@ class ColumnBucket:
                 arr[:kept] = arr[: self.size][keep]
         self.rows = [row for row, k in zip(self.rows, keep) if k]
         self.size = kept
+        self.present = {key: self.codes_present(key) for key in self.present}
+
+    def candidates(
+        self,
+        key: Key,
+        code: int,
+        stored_attrs: Tuple[str, ...],
+        verify: Sequence[int],
+    ) -> IntArray:
+        """Ascending row indices equal to a probe on its whole key: one
+        scan of column ``key`` for ``code``; survivors of a combined column
+        are then held against the per-attribute ``verify`` codes (empty for
+        a single attribute), which weeds out the rows of any other key that
+        combines to the same code."""
+        idx: IntArray = np.flatnonzero(self.codes[key][: self.size] == code)
+        for attr, attr_code in zip(stored_attrs, verify):
+            idx = idx[self.codes[attr][idx] == attr_code]
+        return idx
+
+    def codes_present(self, key: Key) -> Set[int]:
+        """The presence set of column ``key``, derived from its codes."""
+        return set(self.codes[key][: self.size].tolist())
 
 
 class ColumnarContainer:
@@ -260,7 +340,8 @@ class ColumnarContainer:
         "_bucket_width",
         "_count",
         "_value_codes",
-        "_active_attrs",
+        "_active",
+        "_probed",
         "_active_rels",
         "column_builds",
     )
@@ -275,7 +356,13 @@ class ColumnarContainer:
         #: stable for the container's lifetime (codes of evicted values
         #: linger — bounded by the distinct values ever seen per attribute)
         self._value_codes: Dict[str, Dict[object, int]] = {}
-        self._active_attrs: List[str] = []
+        #: active code columns in activation order: an attribute (interned
+        #: codes) or an attribute tuple (combined codes, always after the
+        #: attribute columns it combines)
+        self._active: List[Key] = []
+        #: the active columns some hop looks up, which carry presence sets;
+        #: the rest only verify combined-column survivors
+        self._probed: List[Key] = []
         self._active_rels: List[str] = []
         #: diagnostic: one-off full backfills of lazily activated columns
         #: (tests assert eviction never forces one, mirroring
@@ -307,8 +394,10 @@ class ColumnarContainer:
         if bucket is None:
             bucket = self._buckets[bucket_id] = ColumnBucket()
             # fresh buckets carry every already-active column from birth
-            for attr in self._active_attrs:
-                bucket.codes[attr] = np.empty(bucket.capacity, dtype=np.int64)
+            for key in self._active:
+                bucket.codes[key] = np.empty(bucket.capacity, dtype=np.int64)
+            for key in self._probed:
+                bucket.present[key] = set()
             for rel in self._active_rels:
                 bucket.rel_ts[rel] = np.full(
                     bucket.capacity, np.nan, dtype=np.float64
@@ -316,7 +405,11 @@ class ColumnarContainer:
         return bucket
 
     def _code_of(self, attr: str, value: object) -> int:
-        table = self._value_codes.setdefault(attr, {})
+        if value != value:
+            # NaN joins nothing, itself included: it gets no code (interning
+            # would match it by identity), and -1 equals no probe's code
+            return -1
+        table = self._value_codes[attr]
         code = table.get(value)
         if code is None:
             code = table[value] = len(table)
@@ -333,10 +426,17 @@ class ColumnarContainer:
         bucket.seq[pos] = tup.seq
         bucket.width[pos] = tup.width
         values = tup.values
-        for attr in self._active_attrs:
-            # None is a joinable value, exactly like the dict backend's
-            # ``index[None]`` entry — it interns to an ordinary code
-            bucket.codes[attr][pos] = self._code_of(attr, values.get(attr))
+        codes: Dict[Key, int] = {}
+        for key in self._active:
+            if isinstance(key, str):
+                # None is a joinable value, exactly like the dict backend's
+                # ``index[None]`` entry — it interns to an ordinary code
+                code = self._code_of(key, values.get(key))
+            else:
+                code = _combine_codes([codes[attr] for attr in key])
+            bucket.codes[key][pos] = codes[key] = code
+        for key, present in bucket.present.items():
+            present.add(codes[key])
         timestamps = tup.timestamps
         for rel in self._active_rels:
             ts = timestamps.get(rel)
@@ -364,23 +464,45 @@ class ColumnarContainer:
                     bucket.capacity, np.nan, dtype=np.float64
                 )
 
-    def ensure_column(self, attr: str) -> None:
-        """Activate (and backfill once) the code column for ``attr``.
+    def ensure_column(self, key: Key) -> None:
+        """Make ``key`` a probed column: activate (and backfill once) its
+        code column and presence sets.
 
-        The probe path calls this lazily, exactly like ``Container.index_on``
-        builds a hash index on first use; afterwards inserts maintain the
-        column incrementally and eviction only compresses it.
+        ``key`` is a stored attribute, or the tuple of stored attributes of
+        a hop with several equalities — then the per-attribute columns are
+        activated too (they verify the combined column's survivors) and the
+        combined column is computed from them.  The probe path calls this
+        lazily, exactly like ``Container.index_on`` builds a hash index on
+        first use; afterwards inserts maintain the columns incrementally
+        and eviction only compresses them.
         """
-        attr = intern_attr(attr)
-        if attr in self._active_attrs:
+        if key in self._probed:
             return
-        self._active_attrs.append(attr)
-        code_of = self._code_of
+        key = _intern_key(key)
+        if not isinstance(key, str):
+            for attr in key:
+                self._activate(attr)
+        self._activate(key)
+        self._probed.append(key)
         for bucket in self._buckets.values():
-            col = np.empty(bucket.capacity, dtype=np.int64)
-            for pos, row in enumerate(bucket.rows):
-                col[pos] = code_of(attr, row.values.get(attr))
-            bucket.codes[attr] = col
+            bucket.present[key] = bucket.codes_present(key)
+
+    def _activate(self, key: Key) -> None:
+        """Add and backfill the code column ``key`` (no-op when active)."""
+        if key in self._active:
+            return
+        self._active.append(key)
+        if isinstance(key, str):
+            self._value_codes.setdefault(key, {})
+        for bucket in self._buckets.values():
+            col = bucket.codes[key] = np.empty(bucket.capacity, dtype=np.int64)
+            if isinstance(key, str):
+                for pos, row in enumerate(bucket.rows):
+                    col[pos] = self._code_of(key, row.values.get(key))
+            elif bucket.size:
+                col[: bucket.size] = _combine_columns(
+                    [bucket.codes[attr][: bucket.size] for attr in key]
+                )
         self.column_builds += 1
 
     def evict_older_than(self, horizon: float) -> int:
@@ -425,10 +547,11 @@ class ColumnarContainer:
         Column arrays are serialized as raw ``.npy`` buffers
         (:func:`numpy.save` with ``allow_pickle=False``), sliced to their
         live ``size`` — over-allocated capacity is not persisted.  The
-        value-code interning tables, active column lists, and
-        ``column_builds`` all survive, so a restored container probes with
-        byte-identical code comparisons, ``checked`` counts, and result
-        order.
+        value-code interning tables, the active and probed column lists
+        (attribute- and attribute-tuple-keyed alike), and ``column_builds``
+        all survive, so a restored container probes with byte-identical
+        code comparisons, ``checked`` counts, and result order.  Presence
+        sets are not dumped: :meth:`load_state` derives them again.
         """
         buckets: Dict[int, Dict[str, Any]] = {}
         for bucket_id, bucket in self._buckets.items():
@@ -441,8 +564,8 @@ class ColumnarContainer:
                 "seq": _array_bytes(bucket.seq[:size]),
                 "width": _array_bytes(bucket.width[:size]),
                 "codes": {
-                    attr: _array_bytes(col[:size])
-                    for attr, col in bucket.codes.items()
+                    key: _array_bytes(col[:size])
+                    for key, col in bucket.codes.items()
                 },
                 "rel_ts": {
                     rel: _array_bytes(col[:size])
@@ -456,7 +579,8 @@ class ColumnarContainer:
             "value_codes": {
                 attr: dict(table) for attr, table in self._value_codes.items()
             },
-            "active_attrs": list(self._active_attrs),
+            "active": list(self._active),
+            "probed": list(self._probed),
             "active_rels": list(self._active_rels),
             "count": self._count,
             "column_builds": self.column_builds,
@@ -470,7 +594,8 @@ class ColumnarContainer:
             intern_attr(attr): dict(table)
             for attr, table in state["value_codes"].items()
         }
-        cont._active_attrs = [intern_attr(a) for a in state["active_attrs"]]
+        cont._active = [_intern_key(key) for key in state["active"]]
+        cont._probed = [_intern_key(key) for key in state["probed"]]
         cont._active_rels = list(state["active_rels"])
         cont.column_builds = int(state["column_builds"])
         for bucket_id, bstate in state["buckets"].items():
@@ -482,10 +607,12 @@ class ColumnarContainer:
             bucket.earliest[:size] = _array_from(bstate["earliest"])
             bucket.seq[:size] = _array_from(bstate["seq"])
             bucket.width[:size] = _array_from(bstate["width"])
-            for attr, data in bstate["codes"].items():
+            for key, data in bstate["codes"].items():
                 col = np.empty(bucket.capacity, dtype=np.int64)
                 col[:size] = _array_from(data)
-                bucket.codes[intern_attr(attr)] = col
+                bucket.codes[_intern_key(key)] = col
+            for key in cont._probed:
+                bucket.present[key] = bucket.codes_present(key)
             for rel, data in bstate["rel_ts"].items():
                 rcol = np.full(bucket.capacity, np.nan, dtype=np.float64)
                 rcol[:size] = _array_from(data)
@@ -497,10 +624,35 @@ class ColumnarContainer:
     # ------------------------------------------------------------------
     # vectorized probing
     # ------------------------------------------------------------------
+    def _key_codes(
+        self, oriented: HopKey, key_values: Sequence[Sequence[object]]
+    ) -> Tuple[Sequence[Optional[int]], Sequence[Tuple[int, ...]]]:
+        """Resolve a batch of probes against the hop's (lazily activated)
+        probed column.  ``key_values`` holds one per-probe value list per
+        probe-side attribute.  Per probe: the code to scan the column for —
+        ``None`` when one of its values was never stored (NaN never is), so
+        nothing can match — and, for a combined column, the per-attribute
+        codes its survivors are verified against.
+        """
+        self.ensure_column(oriented.key)
+        per_attr: List[List[Optional[int]]] = [
+            list(map(self._value_codes[attr].get, values))
+            for attr, values in zip(oriented.stored_attrs, key_values)
+        ]
+        if len(per_attr) == 1:
+            # a single attribute's interned codes are exact: nothing to verify
+            return per_attr[0], [()] * len(per_attr[0])
+        # a row holding a None is never combined, scanned or verified
+        verify = cast(List[Tuple[int, ...]], list(zip(*per_attr)))
+        return (
+            [None if None in codes else _combine_codes(codes) for codes in verify],
+            verify,
+        )
+
     def probe_batch(
         self,
         probes: Sequence[StreamTuple],
-        oriented: Tuple[Tuple[str, str], ...],
+        oriented: HopKey,
         windows: Mapping[str, float],
         uniform_window: Optional[float] = None,
         seq_visibility: bool = False,
@@ -508,59 +660,43 @@ class ColumnarContainer:
         """Vectorized join-partner search (semantics of
         :func:`repro.engine.stores.probe_batch`).
 
-        Per probe and bucket the first predicate is resolved as one
-        ``np.flatnonzero`` over the attribute's code column; remaining
-        predicates, arrival visibility, and the window check narrow the
-        survivor index array with O(survivors) gathered comparisons.
-        ``checked`` counts first-predicate matches (the python backend's
-        index-bucket candidates), or full scans for predicate-free probes.
+        Per probe, every bucket whose presence set lacks the probe's key
+        code is skipped outright; in the others the whole equality key is
+        resolved as one ``np.flatnonzero`` over its code column
+        (:meth:`ColumnBucket.candidates`).  Arrival visibility and the
+        window check narrow the survivor index array with O(survivors)
+        gathered comparisons.  ``checked`` counts the rows equal to the
+        probe on the whole key (the python backend's index-bucket
+        candidates), or full scans for predicate-free probes.
         """
         results: List[StreamTuple] = []
         checked = 0
         if not self._count or not probes:
             return results, checked
-        if oriented:
-            first_probe_attr, first_stored_attr = oriented[0]
-            rest = oriented[1:]
-            self.ensure_column(first_stored_attr)
-            for _, stored_attr in rest:
-                self.ensure_column(stored_attr)
-            first_codes = self._value_codes.get(first_stored_attr, {})
+        probe_attrs, stored_attrs, key = oriented
+        if key:
+            codes, verify = self._key_codes(
+                oriented,
+                [[p.values.get(attr) for p in probes] for attr in probe_attrs],
+            )
         buckets = [b for _, b in sorted(self._buckets.items()) if b.size]
-        for probe in probes:
-            probe_values = probe.values
-            if oriented:
-                code = first_codes.get(probe_values.get(first_probe_attr))
+        for j, probe in enumerate(probes):
+            if key:
+                code = codes[j]
                 if code is None:
                     # value never stored: the python backend's index lookup
                     # comes back empty too (0 candidates checked)
                     continue
-                # a *secondary* value never stored still scans the first
-                # column (parity with the python backend, which checks every
-                # first-index candidate); -1 can never equal an interned code
-                rest_codes = [
-                    (
-                        stored_attr,
-                        self._value_codes[stored_attr].get(
-                            probe_values.get(probe_attr), -1
-                        ),
-                    )
-                    for probe_attr, stored_attr in rest
-                ]
             trigger_ts = probe.trigger_ts
             probe_seq = probe.seq
             for bucket in buckets:
-                size = bucket.size
-                if oriented:
-                    idx = np.flatnonzero(bucket.codes[first_stored_attr][:size] == code)
-                    checked += len(idx)
-                    for stored_attr, rcode in rest_codes:
-                        if not len(idx):
-                            break
-                        idx = idx[bucket.codes[stored_attr][idx] == rcode]
+                if key:
+                    if code not in bucket.present[key]:
+                        continue
+                    idx = bucket.candidates(key, code, stored_attrs, verify[j])
                 else:
-                    idx = np.arange(size)
-                    checked += size
+                    idx = np.arange(bucket.size)
+                checked += len(idx)
                 if not len(idx):
                     continue
                 if seq_visibility:
@@ -587,20 +723,20 @@ class ColumnarContainer:
     def probe_batch_vector(
         self,
         batch: VectorBatch,
-        oriented: Tuple[Tuple[str, str], ...],
+        oriented: HopKey,
         uniform_window: float,
         seq_visibility: bool = False,
     ) -> Tuple[Optional[VectorBatch], int]:
         """One vectorized cascade hop: probe with a :class:`VectorBatch`.
 
         Semantically identical to :meth:`probe_batch` over
-        ``batch.materialize()`` — same ``checked`` count (first-predicate
-        index candidates), same arrival-visibility and uniform-window
-        narrowing, same probe-major / bucket-major / row-ascending result
-        order — but survivors stay unmaterialized: each match extends its
-        probe's component chain by the stored row and gathers the merged
-        scalars (``max`` latest / ``min`` earliest / ``max`` seq, probe's
-        trigger) straight from the bucket columns.
+        ``batch.materialize()`` — same ``checked`` count (rows equal on the
+        whole key), same bucket skipping, same arrival-visibility and
+        uniform-window narrowing, same probe-major / bucket-major /
+        row-ascending result order — but survivors stay unmaterialized:
+        each match extends its probe's component chain by the stored row
+        and gathers the merged scalars (``max`` latest / ``min`` earliest /
+        ``max`` seq, probe's trigger) straight from the bucket columns.
 
         Only the uniform-window regime is supported; the runtime falls back
         to the materializing path otherwise.  Returns ``(None, checked)``
@@ -610,45 +746,12 @@ class ColumnarContainer:
         checked = 0
         if not self._count or not len(batch):
             return None, checked
-        if oriented:
-            first_probe_attr, first_stored_attr = oriented[0]
-            rest = oriented[1:]
-            self.ensure_column(first_stored_attr)
-            for _, stored_attr in rest:
-                self.ensure_column(stored_attr)
-            first_codes = self._value_codes.get(first_stored_attr, {})
-            first_vals = batch.values_of(first_probe_attr)
-            rest_lookups = [
-                (
-                    stored_attr,
-                    self._value_codes[stored_attr],
-                    batch.values_of(probe_attr),
-                )
-                for probe_attr, stored_attr in rest
-            ]
-        # Hoist per-bucket column views out of the probe loop: one dict
-        # lookup per bucket for the whole batch instead of one per
-        # (probe, bucket) pair.
-        if oriented:
-            bucket_views = [
-                (
-                    b.codes[first_stored_attr][: b.size],
-                    [b.codes[a] for a, _, _ in rest_lookups],
-                    b.latest,
-                    b.earliest,
-                    b.seq,
-                    b.rows,
-                    b.size,
-                )
-                for _, b in sorted(self._buckets.items())
-                if b.size
-            ]
-        else:
-            bucket_views = [
-                (None, [], b.latest, b.earliest, b.seq, b.rows, b.size)
-                for _, b in sorted(self._buckets.items())
-                if b.size
-            ]
+        probe_attrs, stored_attrs, key = oriented
+        if key:
+            codes, verify = self._key_codes(
+                oriented, [batch.values_of(attr) for attr in probe_attrs]
+            )
+        buckets = [b for _, b in sorted(self._buckets.items()) if b.size]
         chains = batch.chains
         trig_col = batch.trigger
         lat_col = batch.latest
@@ -668,49 +771,35 @@ class ColumnarContainer:
         seg_ear_s: List[float] = []
         seg_seq_s: List[int] = []
         for j in range(len(chains)):
-            if oriented:
-                code = first_codes.get(first_vals[j])
+            if key:
+                code = codes[j]
                 if code is None:
                     # value never stored: empty index lookup, 0 checked
                     continue
-                rest_codes = [
-                    table.get(vals[j], -1)
-                    for _, table, vals in rest_lookups
-                ]
             t_trig = trig_col[j]
             t_lat = lat_col[j]
             t_ear = ear_col[j]
             t_seq = seq_col[j]
             chain = chains[j]
-            for (
-                first_col,
-                rest_cols,
-                b_latest,
-                b_earliest,
-                b_seq,
-                rows,
-                size,
-            ) in bucket_views:
-                if oriented:
-                    idx = np.flatnonzero(first_col == code)
-                    checked += len(idx)
-                    for col, rcode in zip(rest_cols, rest_codes):
-                        if not len(idx):
-                            break
-                        idx = idx[col[idx] == rcode]
+            for bucket in buckets:
+                if key:
+                    if code not in bucket.present[key]:
+                        continue
+                    idx = bucket.candidates(key, code, stored_attrs, verify[j])
                 else:
-                    idx = np.arange(size)
-                    checked += size
+                    idx = np.arange(bucket.size)
+                checked += len(idx)
                 if not len(idx):
                     continue
+                b_seq = bucket.seq
                 if seq_visibility:
                     idx = idx[b_seq[idx] < t_seq]
                 else:
-                    idx = idx[b_latest[idx] < t_trig]
+                    idx = idx[bucket.latest[idx] < t_trig]
                 if not len(idx):
                     continue
-                s_lat = b_latest[idx]
-                s_ear = b_earliest[idx]
+                s_lat = bucket.latest[idx]
+                s_ear = bucket.earliest[idx]
                 keep = (t_lat - s_ear <= uniform_window) & (
                     s_lat - t_ear <= uniform_window
                 )
@@ -718,6 +807,7 @@ class ColumnarContainer:
                 n = len(idx)
                 if not n:
                     continue
+                rows = bucket.rows
                 out_chains.extend(chain + (rows[i],) for i in idx.tolist())
                 seg_latest.append(s_lat[keep])
                 seg_earliest.append(s_ear[keep])

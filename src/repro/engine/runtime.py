@@ -22,9 +22,9 @@ Hot-path design (see docs/engine.md):
   and (b) the strict ``arrived_before`` order makes same-trigger tuples
   invisible to each other.  A plan switch (``install``) flushes the
   pending micro-batch first, so it always falls between two inputs.
-* Predicate orientation (probe-side vs. stored-side attribute) depends
-  only on the probing tuple's lineage, which is fixed per topology edge;
-  it is computed once per (rule, lineage) and cached.
+* A hop's equality key (probe-side attributes, stored-side lookup key)
+  depends only on the probing tuple's lineage, which is fixed per topology
+  edge; it is resolved once per (rule, lineage) and cached.
 * When every relation shares one window length, the pairwise window check
   collapses to an O(1) comparison of precomputed timestamp extrema.
 
@@ -80,6 +80,7 @@ from .routing import stable_hash, target_tasks
 from .stores import (
     AUTO_PROBE_THRESHOLD,
     AUTO_WIDTH_THRESHOLD,
+    HopKey,
     StoreTask,
     check_backend_name,
     orient_predicates,
@@ -336,11 +337,10 @@ class TopologyRuntime(Runtime):
         self._storage_edges: Dict[str, bool] = {}
         self._ops_since_evict = 0
         self._epoch = 0  # container key; one epoch container per task
-        #: (id(rule), probe lineage) -> (rule ref, oriented predicate pairs);
+        #: (id(rule), probe lineage) -> (rule ref, the hop's equality key);
         #: the rule reference keeps the key's id() stable
         self._oriented_cache: Dict[
-            Tuple[int, FrozenSet[str]],
-            Tuple[ProbeRule, Tuple[Tuple[str, str], ...]],
+            Tuple[int, FrozenSet[str]], Tuple[ProbeRule, HopKey]
         ] = {}
         self._uniform_window = self._compute_uniform_window()
         #: watermark mode: probe visibility by arrival seq, eviction against
@@ -706,10 +706,8 @@ class TopologyRuntime(Runtime):
         else:
             pending.extend(matches)
 
-    def _oriented_for(
-        self, rule: ProbeRule, lineage: FrozenSet[str]
-    ) -> Tuple[Tuple[str, str], ...]:
-        """Cached (probe attr, stored attr) orientation for a rule+lineage."""
+    def _oriented_for(self, rule: ProbeRule, lineage: FrozenSet[str]) -> HopKey:
+        """Cached equality key (:func:`orient_predicates`) of a rule+lineage."""
         key = (id(rule), lineage)
         entry = self._oriented_cache.get(key)
         if entry is None:

@@ -3,9 +3,10 @@
 Each :class:`StoreTask` simulates one worker task of a store (one partition).
 It keeps per-epoch containers (Algorithm 4: "for each epoch, an independent
 container is created on each worker together with all aforementioned
-indexes"), hash indexes per accessed attribute ("For each distinct attribute
-access in a store, indices are created locally"), and evicts tuples that
-fell out of the retention window.
+indexes"), one hash index per distinct lookup key ("For each distinct
+attribute access in a store, indices are created locally" — an access here
+is the whole set of equality attributes of a probe hop), and evicts tuples
+that fell out of the retention window.
 
 Eviction is *incremental*: a container buckets its tuples by coarse
 ``latest_ts`` slices, so an eviction pass drops whole expired buckets (plus
@@ -35,10 +36,14 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
+    TypeVar,
+    Union,
     runtime_checkable,
 )
 
@@ -47,6 +52,8 @@ from .tuples import StreamTuple, intern_attr
 
 __all__ = [
     "Container",
+    "HopKey",
+    "Key",
     "STORE_BACKENDS",
     "StoreBackend",
     "StoreTask",
@@ -62,6 +69,24 @@ __all__ = [
 #: price of more bucket bookkeeping.
 BUCKETS_PER_WINDOW = 16
 
+#: what a store-side lookup structure is keyed by: the stored attribute of a
+#: single-equality hop (``"S.a"``), or the sorted stored attributes of a hop
+#: with several equalities (``("S.a", "S.b")``)
+Key = Union[str, Tuple[str, ...]]
+
+
+class HopKey(NamedTuple):
+    """The whole equality key of one probe hop (:func:`orient_predicates`).
+
+    ``probe_attrs[i]`` on the probing tuple must equal ``stored_attrs[i]``
+    on the stored one; ``key`` names the store-side structure that answers
+    the lookup — empty for a predicate-free hop, which scans.
+    """
+
+    probe_attrs: Tuple[str, ...]
+    stored_attrs: Tuple[str, ...]
+    key: Key
+
 
 @runtime_checkable
 class StoreBackend(Protocol):
@@ -70,10 +95,10 @@ class StoreBackend(Protocol):
     This is the (previously implicit) interface the runtime, the rewiring
     subsystem, and the probe path rely on.  Two implementations ship:
 
-    * :class:`Container` — per-attribute hash indexes over tuple dicts
-      (``store_backend="python"``, the default),
-    * :class:`~repro.engine.columnar.ColumnarContainer` — numpy columns per
-      (time bucket, attribute) with vectorized probes
+    * :class:`Container` — one hash index per distinct lookup key over
+      tuple dicts (``store_backend="python"``, the default),
+    * :class:`~repro.engine.columnar.ColumnarContainer` — numpy code
+      columns per (time bucket, lookup key) with vectorized probes
       (``store_backend="columnar"``).
 
     Probing is an either/or obligation the protocol cannot express: a
@@ -81,8 +106,11 @@ class StoreBackend(Protocol):
     windows, uniform_window, seq_visibility)`` method — :func:`probe_batch`
     dispatches to it when present, which is how the columnar backend routes
     probes through its vectorized path without the runtime knowing about
-    backends at all — *or* implement ``index_on(attr)`` (a hash index like
-    :meth:`Container.index_on`), which the generic fallback path requires.
+    backends at all — *or* implement ``index_on(key)`` (a hash index on the
+    hop's whole equality key, like :meth:`Container.index_on`), which the
+    generic fallback path requires.  Either way a lookup is answered on
+    *all* equality attributes of the hop, and a NaN key value joins nothing
+    (``NaN != NaN`` — the brute-force reference agrees).
     """
 
     def insert(self, tup: StreamTuple) -> None: ...
@@ -131,6 +159,57 @@ def make_backend(name: str, bucket_width: Optional[float]) -> "StoreBackend":
     return STORE_BACKENDS[name](bucket_width=bucket_width)
 
 
+_Index = Dict[object, List[StreamTuple]]
+_K = TypeVar("_K", str, Tuple[str, ...])
+
+
+def _index_add(index: _Index, value: object, tup: StreamTuple) -> None:
+    entries = index.get(value)
+    if entries is None:
+        index[value] = [tup]
+    else:
+        entries.append(tup)
+
+
+def _index_remove(index: _Index, lookups: List[Any], dead: Set[int]) -> None:
+    """Drop the tuples whose ``id`` is in ``dead`` from the entries filed
+    under ``lookups`` (one per evicted tuple; a value that was never filed
+    — NaN — finds no entry)."""
+    counts: Dict[object, int] = {}
+    for value in lookups:
+        counts[value] = counts.get(value, 0) + 1
+    for value, n_dead in counts.items():
+        entries = index.get(value)
+        if entries is None:
+            continue
+        if len(entries) <= n_dead:
+            del index[value]
+        else:
+            entries[:] = [t for t in entries if id(t) not in dead]
+            if not entries:
+                del index[value]
+
+
+def _copy_indexes(indexes: Mapping[_K, _Index]) -> Dict[_K, _Index]:
+    """Indexes with fresh candidate lists in the original order."""
+    return {
+        key: {value: list(entries) for value, entries in index.items()}
+        for key, index in indexes.items()
+    }
+
+
+def _composite_value(
+    values: Mapping[str, object], attrs: Tuple[str, ...]
+) -> Optional[Tuple[object, ...]]:
+    """The value tuple a composite index files ``values`` under, or ``None``
+    when one of them is NaN (which joins nothing, itself included)."""
+    lookup = tuple([values.get(attr) for attr in attrs])
+    for value in lookup:
+        if value != value:
+            return None
+    return lookup
+
+
 class Container:
     """Tuple container with lazy, incrementally-maintained hash indexes.
 
@@ -150,6 +229,7 @@ class Container:
         "_buckets",
         "_recent",
         "indexes",
+        "composite_indexes",
         "_count",
         "_bucket_width",
         "index_rebuilds",
@@ -161,7 +241,12 @@ class Container:
         self._bucket_width = bucket_width
         self._buckets: Dict[int, List[StreamTuple]] = {}
         self._recent: List[StreamTuple] = []
-        self.indexes: Dict[str, Dict[object, List[StreamTuple]]] = {}
+        #: stored attribute -> {value -> tuples}: single-equality hops
+        self.indexes: Dict[str, _Index] = {}
+        #: sorted stored attributes -> {value tuple -> tuples}: hops with
+        #: several equalities (kept apart so that an insert into a store no
+        #: such hop probes pays one truthiness test for them)
+        self.composite_indexes: Dict[Tuple[str, ...], _Index] = {}
         self._count = 0
         #: diagnostic: number of full-scan index (re)builds (tests assert
         #: eviction does not force rebuilds)
@@ -193,11 +278,26 @@ class Container:
         values = tup.values
         for attr, index in self.indexes.items():
             value = values.get(attr)
+            if value != value:
+                continue  # NaN joins nothing, itself included
             entries = index.get(value)
             if entries is None:
                 index[value] = [tup]
             else:
                 entries.append(tup)
+        if self.composite_indexes:
+            # _composite_value + _index_add, inlined: this runs per insert
+            for attrs, index in self.composite_indexes.items():
+                lookup = tuple([values.get(attr) for attr in attrs])
+                for value in lookup:
+                    if value != value:
+                        break
+                else:
+                    entries = index.get(lookup)
+                    if entries is None:
+                        index[lookup] = [tup]
+                    else:
+                        entries.append(tup)
 
     def _flush_recent(self) -> None:
         """Move freshly inserted tuples into their time buckets."""
@@ -221,20 +321,28 @@ class Container:
                     bucket.append(tup)
         self._recent = []
 
-    def index_on(self, attr: str) -> Dict[object, List[StreamTuple]]:
-        """Create (on first use) and return the hash index for ``attr``."""
-        index = self.indexes.get(attr)
-        if index is None:
-            index = {}
-            for tup in self.iter_tuples():
-                value = tup.values.get(attr)
-                entries = index.get(value)
-                if entries is None:
-                    index[value] = [tup]
-                else:
-                    entries.append(tup)
-            self.indexes[attr] = index
-            self.index_rebuilds += 1
+    def index_on(self, key: Key) -> _Index:
+        """Create (on first use) and return the hash index for ``key``: a
+        stored attribute (looked up by value) or a tuple of them (looked up
+        by the value tuple in the same order).  NaN values are left out."""
+        if isinstance(key, str):
+            index = self.indexes.get(key)
+            if index is None:
+                index = self.indexes[key] = {}
+                for tup in self.iter_tuples():
+                    value = tup.values.get(key)
+                    if value == value:
+                        _index_add(index, value, tup)
+                self.index_rebuilds += 1
+        else:
+            index = self.composite_indexes.get(key)
+            if index is None:
+                index = self.composite_indexes[key] = {}
+                for tup in self.iter_tuples():
+                    lookup = _composite_value(tup.values, key)
+                    if lookup is not None:
+                        _index_add(index, lookup, tup)
+                self.index_rebuilds += 1
         return index
 
     def evict_older_than(self, horizon: float) -> int:
@@ -282,6 +390,9 @@ class Container:
             # container emptied: empty indexes are cheap to recreate and
             # clearing drops any large dict shells in one go
             self.indexes = {attr: {} for attr in self.indexes}
+            self.composite_indexes = {
+                attrs: {} for attrs in self.composite_indexes
+            }
         else:
             self._unindex(evicted)
         return sum(t.width for t in evicted)
@@ -306,10 +417,8 @@ class Container:
             "bucket_width": self._bucket_width,
             "buckets": {bid: list(tups) for bid, tups in self._buckets.items()},
             "recent": list(self._recent),
-            "indexes": {
-                attr: {value: list(entries) for value, entries in index.items()}
-                for attr, index in self.indexes.items()
-            },
+            "indexes": _copy_indexes(self.indexes),
+            "composite_indexes": _copy_indexes(self.composite_indexes),
             "count": self._count,
             "index_rebuilds": self.index_rebuilds,
         }
@@ -322,34 +431,23 @@ class Container:
             int(bid): list(tups) for bid, tups in state["buckets"].items()
         }
         cont._recent = list(state["recent"])
-        cont.indexes = {
-            attr: {value: list(entries) for value, entries in index.items()}
-            for attr, index in state["indexes"].items()
-        }
+        cont.indexes = _copy_indexes(state["indexes"])
+        cont.composite_indexes = _copy_indexes(state["composite_indexes"])
         cont._count = int(state["count"])
         cont.index_rebuilds = int(state["index_rebuilds"])
         return cont
 
     def _unindex(self, evicted: Sequence[StreamTuple]) -> None:
         """Remove exactly ``evicted`` from every maintained index, in place."""
-        if not self.indexes:
+        if not self.indexes and not self.composite_indexes:
             return
         dead = {id(t) for t in evicted}
         for attr, index in self.indexes.items():
-            counts: Dict[object, int] = {}
-            for tup in evicted:
-                value = tup.values.get(attr)
-                counts[value] = counts.get(value, 0) + 1
-            for value, n_dead in counts.items():
-                entries = index.get(value)
-                if entries is None:
-                    continue
-                if len(entries) <= n_dead:
-                    del index[value]
-                else:
-                    entries[:] = [t for t in entries if id(t) not in dead]
-                    if not entries:
-                        del index[value]
+            _index_remove(index, [t.values.get(attr) for t in evicted], dead)
+        for attrs, index in self.composite_indexes.items():
+            _index_remove(
+                index, [_composite_value(t.values, attrs) for t in evicted], dead
+            )
 
 
 #: backend-name registry (name -> container class); ``"python"`` is the
@@ -545,44 +643,58 @@ class StoreTask:
 
 def orient_predicates(
     predicates: Tuple[JoinPredicate, ...], probe_lineage: Iterable[str]
-) -> Tuple[Tuple[str, str], ...]:
-    """Pre-orient predicates as ``(probe-side attr, stored-side attr)`` pairs.
+) -> HopKey:
+    """Resolve a hop's predicates into its whole equality key.
 
-    Orientation depends only on which relations the probing tuple carries,
-    which is fixed per topology edge — callers cache the result instead of
-    re-deriving it per stored candidate (as the seed's ``_orient`` did).
+    Orientation (which side of each predicate the probing tuple carries)
+    depends only on the probe's lineage, which is fixed per topology edge —
+    callers resolve once per (rule, lineage) and pass the result to every
+    :func:`probe_batch` call.  The equalities are sorted by stored
+    attribute, so hops that list the same equalities in another order
+    resolve to the same ``key`` and share one store-side structure.
     """
     lineage = set(probe_lineage)
-    oriented = []
+    pairs = []
     for pred in predicates:
         if pred.left.relation in lineage:
-            pair = (str(pred.left), str(pred.right))
+            probe_attr, stored_attr = str(pred.left), str(pred.right)
         else:
-            pair = (str(pred.right), str(pred.left))
-        # interned names make the per-candidate values.get() lookups hit
-        # the pointer-equality fast path of tuples built by input_tuple
-        oriented.append((intern_attr(pair[0]), intern_attr(pair[1])))
-    return tuple(oriented)
+            probe_attr, stored_attr = str(pred.right), str(pred.left)
+        # interned names make the values.get() lookups hit the
+        # pointer-equality fast path of tuples built by input_tuple
+        pairs.append((intern_attr(stored_attr), intern_attr(probe_attr)))
+    pairs.sort()
+    stored_attrs = tuple(stored for stored, _ in pairs)
+    return HopKey(
+        probe_attrs=tuple(probe for _, probe in pairs),
+        stored_attrs=stored_attrs,
+        key=stored_attrs[0] if len(stored_attrs) == 1 else stored_attrs,
+    )
 
 
 def probe_batch(
     container: StoreBackend,
     probes: Sequence[StreamTuple],
-    oriented: Tuple[Tuple[str, str], ...],
+    oriented: HopKey,
     windows: Dict[str, float],
     uniform_window: Optional[float] = None,
     seq_visibility: bool = False,
 ) -> Tuple[List[StreamTuple], int]:
     """Find join partners for a batch of same-lineage probe tuples.
 
-    The hash-index resolution, predicate orientation, and window-mode
-    dispatch are amortized over the batch; returns ``(merged results in
-    probe order, candidates checked)``.  Matches the local probe handling
-    of Algorithm 3.
+    The hash-index resolution and window-mode dispatch are amortized over
+    the batch; returns ``(merged results in probe order, candidates
+    checked)``.  Matches the local probe handling of Algorithm 3.
+
+    The lookup is on the hop's whole equality key (``oriented``, from
+    :func:`orient_predicates`): ``checked`` counts the stored tuples equal
+    to the probe on *every* equality attribute, and only arrival
+    visibility and the window check run per candidate.  A predicate-free
+    hop scans the store.
 
     Backends that implement their own ``probe_batch`` (the columnar
     backend's vectorized path) are dispatched to directly — same
-    semantics, different candidate-filtering machinery.
+    semantics, different candidate-finding machinery.
 
     ``seq_visibility`` selects the arrival-visibility rule.  The default
     (event-time) rule assumes timestamp order doubles as arrival order and
@@ -605,36 +717,25 @@ def probe_batch(
         # not build a hash index it cannot use — a zero-survivor upstream
         # hop would otherwise inflate ``index_rebuilds`` on untouched stores
         return results, checked
-    if not oriented:
+    probe_attrs, _, key = oriented
+    # one equality looks up the bare value: no tuple is built per probe
+    single = probe_attrs[0] if len(probe_attrs) == 1 else None
+    if key:
+        index = container.index_on(key)
+    else:
         candidates = container.tuples
-        for probe in probes:
-            trigger_ts = probe.trigger_ts
-            probe_seq = probe.seq
-            for stored in candidates:
-                checked += 1
-                if seq_visibility:
-                    if stored.seq >= probe_seq:
-                        continue
-                elif stored.latest_ts >= trigger_ts:
-                    continue
-                if uniform_window is not None:
-                    if not probe.within_uniform_window(stored, uniform_window):
-                        continue
-                elif not probe.within_windows(stored, windows):
-                    continue
-                results.append(probe.merge(stored))
-        return results, checked
-
-    first_probe_attr, first_stored_attr = oriented[0]
-    index = container.index_on(first_stored_attr)
-    rest = oriented[1:]
     for probe in probes:
-        candidates = index.get(probe.values.get(first_probe_attr))
+        if single is not None:
+            candidates = index.get(probe.values.get(single))
+        elif key:
+            probe_values = probe.values
+            candidates = index.get(
+                tuple([probe_values.get(attr) for attr in probe_attrs])
+            )
         if not candidates:
             continue
         trigger_ts = probe.trigger_ts
         probe_seq = probe.seq
-        probe_values = probe.values
         for stored in candidates:
             checked += 1
             if seq_visibility:
@@ -642,13 +743,6 @@ def probe_batch(
                     continue
             elif stored.latest_ts >= trigger_ts:
                 continue
-            if rest:
-                stored_values = stored.values
-                if any(
-                    probe_values.get(pa) != stored_values.get(sa)
-                    for pa, sa in rest
-                ):
-                    continue
             if uniform_window is not None:
                 if not probe.within_uniform_window(stored, uniform_window):
                     continue

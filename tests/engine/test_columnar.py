@@ -191,7 +191,8 @@ class TestColumnarProbing:
         for ts in (1.0, 1.5, 2.0):
             cont.insert(s_tuple(ts, a=ts))
         probe = input_tuple("R", 3.0, {"x": 0})
-        results, checked = probe_batch(cont, (probe,), (), WINDOWS, 10.0)
+        no_key = orient_predicates((), {"R"})
+        results, checked = probe_batch(cont, (probe,), no_key, WINDOWS, 10.0)
         assert len(results) == 3 and checked == 3
 
     @pytest.mark.parametrize("uniform", [None, 4.0])

@@ -12,8 +12,9 @@ Covered axes (≥ 24 seeded workloads each):
   harness), across window sizes, parallelism degrees, batch sizes, and
   eviction cadences,
 * **star** — hub-and-spokes queries sharing the hub relation,
-* **cycle** — ring queries whose closing predicate is applied as a
-  post-probe filter, plus arc subqueries sharing stores with the ring,
+* **cycle** — ring queries whose closing predicate joins the lookup key
+  of the hop that covers it, plus arc subqueries sharing stores with the
+  ring,
 * **zipf** — Zipf-skewed join attributes over all three shapes,
 * **ooo** — bounded out-of-order arrival feeds consumed in watermark mode
   (``RuntimeConfig.disorder_bound``) over all three shapes,
@@ -322,27 +323,70 @@ class TestDifferentialShapes:
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
 
-    def test_cycle_closing_predicate_is_post_probe_filter(self):
-        """The compiled ProbeRule orders spanning-tree predicates first, so
-        a cyclic hop's hash index is backed by a tree edge and the closing
-        predicate filters candidates."""
+    def test_cycle_closing_predicate_is_part_of_the_lookup_key(self, monkeypatch):
+        """A cyclic hop looks its store up on *all* its predicates: every
+        multi-predicate probe rule resolves to a key over all its stored
+        attributes, ``comparisons`` counts exactly the stored tuples that
+        agree with their probe on that whole key, and results equal the
+        oracle."""
+        from repro.engine import orient_predicates
+        from repro.engine import runtime as runtime_module
+
         query = Query.cycle("tri", ["R", "S", "T"])
         windows = {rel: 3.0 for rel in query.relations}
         topology = compile_topology(
             [query], list(query.relations), windows, 1, 0
         )
-        spanning = query.spanning_predicates()
         multi_pred_rules = [
-            rule
-            for ruleset in topology.rulesets.values()
+            (store_id, rule)
+            for store_id, ruleset in topology.rulesets.items()
             for rules in ruleset.values()
             for rule in rules
             if getattr(rule, "kind", "") == "probe" and len(rule.predicates) > 1
         ]
         assert multi_pred_rules, "a triangle plan must close the cycle somewhere"
-        for rule in multi_pred_rules:
-            assert rule.predicates[0] in spanning
-            assert query.cycle_closing_predicates() & set(rule.predicates[1:])
+        assert query.cycle_closing_predicates() & {
+            pred for _, rule in multi_pred_rules for pred in rule.predicates
+        }
+        for store_id, rule in multi_pred_rules:
+            stored_relations = set(topology.stores[store_id].mir.relations)
+            lineage = {
+                rel for pred in rule.predicates for rel in pred.relations
+            } - stored_relations
+            oriented = orient_predicates(rule.predicates, lineage)
+            assert len(oriented.key) == len(rule.predicates)
+            assert all(
+                attr.split(".")[0] in stored_relations for attr in oriented.key
+            )
+
+        agreeing = 0
+        widest = 0
+        real_probe_batch = runtime_module.probe_batch
+
+        def counting_probe_batch(container, probes, oriented, *args):
+            nonlocal agreeing, widest
+            widest = max(widest, len(oriented.stored_attrs))
+            pairs = list(zip(oriented.probe_attrs, oriented.stored_attrs))
+            for probe in probes:
+                for stored in container.iter_tuples():
+                    if all(probe.values[p] == stored.values[s] for p, s in pairs):
+                        agreeing += 1
+            return real_probe_batch(container, probes, oriented, *args)
+
+        monkeypatch.setattr(runtime_module, "probe_batch", counting_probe_batch)
+        rng = random.Random(7)
+        attrs = {"R": ["e0", "e2"], "S": ["e0", "e1"], "T": ["e1", "e2"]}
+        _, streams, inputs = _make_streams(
+            rng, [query], attrs, 6.0, lambda: uniform_domain(3), 7
+        )
+        runtime = TopologyRuntime(
+            topology, windows, RuntimeConfig(vectorized_cascades=False)
+        )
+        runtime.run(inputs)
+        assert widest == max(len(rule.predicates) for _, rule in multi_pred_rules)
+        assert runtime.metrics.results_emitted > 0
+        assert runtime.metrics.comparisons == agreeing
+        assert_engine_equals_reference(runtime, [query], streams, windows)
 
 
 class TestDifferentialSkew:

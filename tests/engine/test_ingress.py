@@ -199,7 +199,7 @@ class TestSnapshotLayout:
         assert "first_ts" not in payload["ingest"]
 
     def test_version_1_snapshot_is_refused_by_name(self, tmp_path):
-        assert SNAPSHOT_VERSION == 3
+        assert SNAPSHOT_VERSION == 4
         path = tmp_path / "v1.snap"
         with open(path, "wb") as handle:
             pickle.dump(
@@ -221,6 +221,18 @@ class TestSnapshotLayout:
                 handle,
             )
         with pytest.raises(SnapshotError, match="payload version 2"):
+            JoinSession.restore(path)
+
+    def test_version_3_snapshot_is_refused_by_name(self, tmp_path):
+        """v3 container dumps have no composite indexes, attribute-only code
+        columns and an ``active_attrs`` list; there is no cross-version reader."""
+        path = tmp_path / "v3.snap"
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"magic": SNAPSHOT_MAGIC, "version": 3, "payload": {"ingest": {}}},
+                handle,
+            )
+        with pytest.raises(SnapshotError, match="payload version 3"):
             JoinSession.restore(path)
 
 

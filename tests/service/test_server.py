@@ -250,6 +250,52 @@ class TestDrainSurvives:
         assert server.ingested == 2
         assert session.metrics.late_dropped == 0
 
+    def test_nan_join_key_over_the_wire_joins_nothing(self):
+        """Every ``NaN`` literal ``json.loads`` decodes is one and the same
+        object, and hash lookups match by identity before equality: two
+        ordinary frames used to join on it, where the oracle (``NaN !=
+        NaN``) never does."""
+
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                # json.dumps spells float("nan") as the bare token NaN
+                push = {"op": "push", "relation": "R", "values": {"a": float("nan")}}
+                replies = [
+                    await self._exchange(reader, writer, dict(push, ts=1.0, id=1)),
+                    await self._exchange(
+                        reader, writer, dict(push, relation="S", ts=1.1, id=2)
+                    ),
+                    await self._exchange(reader, writer, {"op": "flush", "id": 3}),
+                ]
+                nothing = await self._exchange(
+                    reader, writer, {"op": "results", "query": "q1", "id": 4}
+                )
+                replies += [
+                    await self._exchange(
+                        reader, writer, dict(push, values={"a": 7}, ts=1.2, id=5)
+                    ),
+                    await self._exchange(
+                        reader,
+                        writer,
+                        dict(push, relation="S", values={"a": 7}, ts=1.3, id=6),
+                    ),
+                    await self._exchange(reader, writer, {"op": "flush", "id": 7}),
+                ]
+                results = await self._exchange(
+                    reader, writer, {"op": "results", "query": "q1", "id": 8}
+                )
+                writer.close()
+                return session, server, replies, nothing, results
+
+        session, server, replies, nothing, results = asyncio.run(scenario())
+        assert [f["kind"] for f in replies] == ["ok"] * 6
+        assert nothing["count"] == 0
+        assert results["count"] == 1
+        assert server.ingested == 4
+        assert session.verify().ok
+
     def test_in_process_bad_item_lands_in_server_errors(self):
         async def scenario():
             session = tiny_session()

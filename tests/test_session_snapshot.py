@@ -94,6 +94,43 @@ class TestCrashRecoveryDifferential:
         restored.close()
         baseline.close()
 
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_with_a_composite_key_active(self, tmp_path, backend, workers):
+        """The snapshot carries the whole-key structures (composite hash
+        indexes; combined code columns with their active/probed lists) as
+        they are: candidate order and ``comparisons`` resume exactly."""
+
+        def build():
+            kwargs = {"window": 3.0, "store_backend": backend}
+            if workers > 1:
+                kwargs.update(workers=2, worker_transport="inline")
+            return JoinSession(**kwargs).add_query("q1", "R.a=S.a", "R.b=S.b")
+
+        def feed_rs(session, lo, hi):
+            for i in range(lo, hi):
+                session.push("R", {"a": i % 5, "b": i % 3}, ts=i * 0.1)
+                session.push("S", {"a": i % 5, "b": i % 2}, ts=i * 0.1 + 0.01)
+
+        baseline = build()
+        feed_rs(baseline, 0, 120)
+        baseline.flush()
+        assert baseline.metrics.comparisons > 0
+
+        interrupted = build()
+        feed_rs(interrupted, 0, 60)
+        path = tmp_path / "composite.snap"
+        interrupted.checkpoint(path)
+        interrupted.close()
+        del interrupted
+
+        restored = JoinSession.restore(path)
+        feed_rs(restored, 60, 120)
+        restored.flush()
+        assert_parity(restored, baseline)
+        restored.close()
+        baseline.close()
+
     def test_restore_preserves_churn_lifecycle_and_drops(self, tmp_path):
         def build():
             return JoinSession(window=4.0).add_query("q1", "R.a=S.a", "S.b=T.b")
