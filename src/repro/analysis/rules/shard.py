@@ -106,7 +106,7 @@ class GlobalMutationRule(FileRule):
         "global: a mutation on the driver silently never reaches the "
         "workers (and vice versa), so behaviour diverges between "
         "workers=1 and workers=N.  Route tunables through RuntimeConfig "
-        "fields instead (how PR 7 fixed the auto-backend thresholds)."
+        "fields instead."
     )
 
     _SCOPE = ("src/repro/engine", "src/repro/core", "src/repro/session.py")

@@ -24,7 +24,6 @@ from .routing import stable_hash, target_tasks
 from .sharding import ShardFailedError, ShardRouter, ShardedRuntime
 from .runtime import (
     LateArrivalError,
-    MemoryOverflowError,
     Runtime,
     RuntimeConfig,
     TopologyRuntime,
@@ -56,7 +55,6 @@ __all__ = [
     "HopKey",
     "Ingress",
     "LateArrivalError",
-    "MemoryOverflowError",
     "STORE_BACKENDS",
     "RewirableRuntime",
     "Runtime",

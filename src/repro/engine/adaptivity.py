@@ -14,9 +14,8 @@ parallel stacks.  :class:`AdaptivityLoop` is the single shared loop:
   re-optimization,
 * it **installs** every resulting plan change through the attached
   runtime's one ``install`` path (:class:`~repro.engine.runtime.Runtime` —
-  local or sharded), so state migration, backfill,
-  watermark seeding and ``store_backend="auto"`` reselection ride every
-  switch regardless of what triggered it.
+  local or sharded), so state migration, backfill and watermark seeding
+  ride every switch regardless of what triggered it.
 
 Layering: :class:`AdaptiveRuntime` is a rewirable runtime that drives the
 loop from its own ``process`` (Section VI, Figure 5: epoch statistics,

@@ -69,14 +69,6 @@ class EngineMetrics:
     #: live stored tuples reloaded into store containers by a
     #: checkpoint restore (0 on uninterrupted runs)
     restored_tuples: int = 0
-    #: concrete container backend per store task, tallied by name — with
-    #: ``store_backend="auto"`` this surfaces the per-task decisions, fixed
-    #: configurations tally to a single entry (refreshed at every install)
-    store_backends: Dict[str, int] = field(default_factory=dict)
-    #: auto-selection flips that migrated a live task to the other backend
-    #: (deliberately separate from ``migrated_tuples``, which counts
-    #: repartitioning moves and is backend-invariant)
-    backend_switches: int = 0
     #: every optimizer consultation routed through the adaptivity loop —
     #: epoch boundaries, query churn, and explicit ``reoptimize()`` alike
     #: (:class:`~repro.core.adaptive.DecisionRecord` instances)

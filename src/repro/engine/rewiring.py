@@ -41,7 +41,6 @@ from ..core.topology import StoreSpec, Topology
 from .reference import reference_join
 from .routing import stable_hash
 from .runtime import TopologyRuntime
-from .stores import StoreTask
 from .tuples import StreamTuple
 
 __all__ = [
@@ -175,20 +174,9 @@ class RewirableRuntime(TopologyRuntime):
         # their state and their tasks.
         for store_id in diff.removed:
             for task in self.tasks.pop(store_id, []):
-                freed = sum(
-                    sum(t.width for t in cont.iter_tuples())
-                    for cont in task.containers.values()
-                )
+                freed = sum(t.width for t in task.container.iter_tuples())
                 if freed:
                     self.metrics.on_evict(freed)
-
-        # Hybrid backend selection: with ``store_backend="auto"`` every task
-        # re-picks its container implementation from the statistics observed
-        # so far (live width, probe traffic); installs are the only switch
-        # points, so a cascade never changes backend mid-batch.
-        if self.config.store_backend == "auto":
-            self._reselect_backends()
-        self._publish_backend_choices()
 
         self.metrics.on_rewire(preserved)
         record = SwitchRecord(
@@ -240,57 +228,24 @@ class RewirableRuntime(TopologyRuntime):
         be re-routed individually.  Surviving stores whose partitioning is
         unchanged keep their container objects — columnar arrays migrate
         across installs without any row conversion.  The fresh tasks inherit
-        the observed statistics (probe traffic, resolved auto backend,
-        eviction high-water) and the incumbent retention slack.
+        the eviction high-water and the incumbent retention slack.
         """
-        old_tasks = self.tasks.get(spec.store_id, [])
         tuples: List[StreamTuple] = []
         retention = spec.retention
         evicted_through = float("-inf")
-        probes_seen = 0
-        resolved = None
-        for task in old_tasks:
-            for container in task.containers.values():
-                tuples.extend(container.iter_tuples())
+        for task in self.tasks.get(spec.store_id, []):
+            tuples.extend(task.container.iter_tuples())
             retention = max(retention, task.retention)
             evicted_through = max(evicted_through, task.evicted_through)
-            probes_seen = max(probes_seen, task.probes_seen)
-            if resolved is None:
-                resolved = task.resolved_backend
-        self.tasks[spec.store_id] = [
-            StoreTask(
-                store_id=spec.store_id,
-                task_index=i,
-                retention=retention,
-                backend=self.config.store_backend,
-                resolved_backend=resolved,
-                probes_seen=probes_seen,
-                evicted_through=evicted_through,
-                auto_width_threshold=self.config.auto_width_threshold,
-                auto_probe_threshold=self.config.auto_probe_threshold,
-            )
+        tasks = self.tasks[spec.store_id] = [
+            self._new_store_task(spec.store_id, i, retention)
             for i in range(spec.parallelism)
         ]
+        for task in tasks:
+            task.evicted_through = evicted_through
         for tup in tuples:
-            self.tasks[spec.store_id][self._task_for(spec, tup)].insert(
-                self._epoch, tup
-            )
+            tasks[self._task_for(spec, tup)].container.insert(tup)
         self.metrics.migrated_tuples += len(tuples)
-
-    def _reselect_backends(self) -> None:
-        """Re-pick every auto task's backend from its observed statistics.
-
-        A flip migrates the task's live containers to the other
-        implementation and counts in ``metrics.backend_switches``
-        (deliberately not ``migrated_tuples``, which stays invariant
-        between fixed and auto configurations).
-        """
-        for tasks in self.tasks.values():
-            for task in tasks:
-                if task.backend != "auto":
-                    continue
-                if task.switch_backend(task.preferred_backend()):
-                    self.metrics.backend_switches += 1
 
     def _task_for(self, spec: StoreSpec, tup: StreamTuple) -> int:
         if spec.parallelism <= 1:
@@ -314,13 +269,11 @@ class RewirableRuntime(TopologyRuntime):
         for relation in spec.mir.relations:
             live: List[StreamTuple] = []
             for task in self.tasks.get(relation, []):
-                for container in task.containers.values():
-                    live.extend(container.iter_tuples())
+                live.extend(task.container.iter_tuples())
             streams[relation] = sorted(live, key=lambda t: t.latest_ts)
         intermediates = compute_backfill(spec, streams, self.windows)
+        tasks = self.tasks[spec.store_id]
         for tup in intermediates:
-            self.tasks[spec.store_id][self._task_for(spec, tup)].insert(
-                self._epoch, tup
-            )
+            tasks[self._task_for(spec, tup)].container.insert(tup)
             self.metrics.on_store(tup.width)
         self.metrics.backfilled_tuples += len(intermediates)

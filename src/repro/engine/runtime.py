@@ -78,8 +78,6 @@ from .ingress import Ingress, LateArrivalError
 from .metrics import EngineMetrics
 from .routing import stable_hash, target_tasks
 from .stores import (
-    AUTO_PROBE_THRESHOLD,
-    AUTO_WIDTH_THRESHOLD,
     HopKey,
     StoreTask,
     check_backend_name,
@@ -98,12 +96,7 @@ __all__ = [
     "Runtime",
     "RuntimeConfig",
     "TopologyRuntime",
-    "MemoryOverflowError",
 ]
-
-
-class MemoryOverflowError(RuntimeError):
-    """A worker exceeded its memory budget (stored state + queued tuples)."""
 
 
 @dataclass
@@ -125,18 +118,8 @@ class RuntimeConfig:
     #: container implementation behind every store task: "python" keeps the
     #: dict/hash-index :class:`~repro.engine.stores.Container`, "columnar"
     #: selects the numpy-vectorized
-    #: :class:`~repro.engine.columnar.ColumnarContainer`, and "auto" lets
-    #: every task pick between the two from observed live-width and
-    #: probe-rate statistics (re-evaluated at each
-    #: :meth:`~repro.engine.rewiring.RewirableRuntime.install`)
+    #: :class:`~repro.engine.columnar.ColumnarContainer`
     store_backend: str = "python"
-    #: ``store_backend="auto"``: a task flips to the columnar container once
-    #: its live state holds at least this many tuples (below it, numpy
-    #: per-bucket dispatch overhead beats the dict index) ...
-    auto_width_threshold: int = AUTO_WIDTH_THRESHOLD
-    #: ... *and* it has been probed at least this many times (a store that
-    #: only absorbs inserts gains nothing from vectorized probes)
-    auto_probe_threshold: int = AUTO_PROBE_THRESHOLD
     #: carry probe survivors hop-to-hop as
     #: :class:`~repro.engine.columnar.VectorBatch` index arrays on columnar
     #: stores under a uniform window, materializing merged tuples only at
@@ -156,8 +139,6 @@ class RuntimeConfig:
 
     def __post_init__(self) -> None:
         check_backend_name(self.store_backend)
-        if self.auto_width_threshold < 0 or self.auto_probe_threshold < 0:
-            raise ValueError("auto-backend thresholds must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.on_late not in ("raise", "drop"):
@@ -336,7 +317,6 @@ class TopologyRuntime(Runtime):
         self.tasks: Dict[str, List[StoreTask]] = {}
         self._storage_edges: Dict[str, bool] = {}
         self._ops_since_evict = 0
-        self._epoch = 0  # container key; one epoch container per task
         #: (id(rule), probe lineage) -> (rule ref, the hop's equality key);
         #: the rule reference keeps the key's id() stable
         self._oriented_cache: Dict[
@@ -350,7 +330,6 @@ class TopologyRuntime(Runtime):
         self._group: List[StreamTuple] = []
         self._group_rel: Optional[str] = None
         self._install_stores(topology)
-        self._publish_backend_choices()
 
     # ------------------------------------------------------------------
     # deployment
@@ -358,15 +337,13 @@ class TopologyRuntime(Runtime):
     def _new_store_task(
         self, store_id: str, task_index: int, retention: float
     ) -> StoreTask:
-        """Construct a task carrying the config's backend + auto thresholds
-        (single construction seam for deployment, rewire, and repartition)."""
+        """Construct a task of the configured backend (single construction
+        seam for deployment, rewire, and repartition)."""
         return StoreTask(
             store_id=store_id,
             task_index=task_index,
             retention=retention,
             backend=self.config.store_backend,
-            auto_width_threshold=self.config.auto_width_threshold,
-            auto_probe_threshold=self.config.auto_probe_threshold,
         )
 
     def _install_stores(self, topology: Topology) -> None:
@@ -383,19 +360,6 @@ class TopologyRuntime(Runtime):
             )
             for label, edge in topology.edges.items()
         }
-
-    def _publish_backend_choices(self) -> None:
-        """Surface every task's concrete backend in ``metrics.store_backends``.
-
-        With ``store_backend="auto"`` this is how callers observe the
-        per-task decisions; fixed configurations tally to a single entry.
-        """
-        tally: Dict[str, int] = {}
-        for tasks in self.tasks.values():
-            for task in tasks:
-                name = task.effective_backend
-                tally[name] = tally.get(name, 0) + 1
-        self.metrics.store_backends = tally
 
     def _compute_uniform_window(self) -> Optional[float]:
         """The shared window length, or ``None`` if windows differ.
@@ -461,7 +425,6 @@ class TopologyRuntime(Runtime):
             store_id: [StoreTask.from_state(t) for t in task_states]
             for store_id, task_states in state.items()
         }
-        self._publish_backend_choices()
         return self.stored_tuples_total()
 
     def dump_state(self) -> Dict[str, Any]:
@@ -478,7 +441,6 @@ class TopologyRuntime(Runtime):
             "kind": "single",
             "tasks": self.dump_tasks(),
             "ingress": self.ingress.dump(),
-            "epoch": self._epoch,
             "ops_since_evict": self._ops_since_evict,
             "outputs": {q: list(r) for q, r in self.outputs.items()},
             "metrics": self.metrics,
@@ -501,7 +463,6 @@ class TopologyRuntime(Runtime):
         self.metrics = state["metrics"]
         restored = self.load_tasks(state["tasks"])
         self.ingress.load(state["ingress"])
-        self._epoch = int(state["epoch"])
         self._ops_since_evict = int(state["ops_since_evict"])
         self.outputs = {q: list(r) for q, r in state["outputs"].items()}
         self.switches = list(state["switches"])
@@ -620,11 +581,10 @@ class TopologyRuntime(Runtime):
         )
         out_batches: Dict[str, object] = {}
         for task_index, batch in per_task.items():
-            task = tasks[task_index]
+            container = tasks[task_index].container
             vbatch = batch if isinstance(batch, VectorBatch) else None
             for rule in rules:
                 if isinstance(rule, StoreRule):
-                    container = task.container(self._epoch)
                     width = 0
                     rows = vbatch.materialize() if vbatch is not None else batch
                     for tup in rows:
@@ -632,8 +592,6 @@ class TopologyRuntime(Runtime):
                         width += tup.width
                     self.metrics.on_store(width)
                 elif isinstance(rule, ProbeRule):
-                    task.probes_seen += len(batch)
-                    container = task.container(self._epoch)
                     lineage = (
                         vbatch.lineage if vbatch is not None else batch[0].lineage
                     )

@@ -412,7 +412,7 @@ class _WorkerState:
             spec = topology.stores[store_id]
             tasks = runtime.tasks[store_id]
             for tup in tuples:
-                tasks[runtime._task_for(spec, tup)].insert(runtime._epoch, tup)
+                tasks[runtime._task_for(spec, tup)].container.insert(tup)
                 width += tup.width
         # migrated-in state is a level, not flow: track stored units without
         # inflating the flow counters the driver folds
@@ -496,8 +496,7 @@ class _WorkerState:
             for store_id, tasks in runtime.tasks.items():
                 tuples: List[StreamTuple] = []
                 for task in tasks:
-                    for container in task.containers.values():
-                        tuples.extend(container.iter_tuples())
+                    tuples.extend(task.container.iter_tuples())
                 state[store_id] = tuples
             return ("state", state)
         if cmd == "reset":
@@ -520,7 +519,6 @@ class _WorkerState:
                 {
                     "tasks": runtime.dump_tasks(),
                     "ingress": runtime.ingress.dump(),
-                    "epoch": runtime._epoch,
                     "ops_since_evict": runtime._ops_since_evict,
                     "stored_units": runtime.metrics.stored_units,
                     "peak_stored_units": runtime.metrics.peak_stored_units,
@@ -535,7 +533,6 @@ class _WorkerState:
             )
             restored = runtime.load_tasks(shard_state["tasks"])
             runtime.ingress.load(shard_state["ingress"])
-            runtime._epoch = int(shard_state["epoch"])
             runtime._ops_since_evict = int(shard_state["ops_since_evict"])
             # restored stored state is a level, not flow (same convention
             # as _build's migration accounting); flow counters restart at

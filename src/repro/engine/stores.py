@@ -1,12 +1,14 @@
 """Partitioned, windowed, indexed relation stores.
 
-Each :class:`StoreTask` simulates one worker task of a store (one partition).
-It keeps per-epoch containers (Algorithm 4: "for each epoch, an independent
-container is created on each worker together with all aforementioned
-indexes"), one hash index per distinct lookup key ("For each distinct
-attribute access in a store, indices are created locally" — an access here
-is the whole set of equality attributes of a probe hop), and evicts tuples
-that fell out of the retention window.
+Each :class:`StoreTask` simulates one worker task of a store (one partition):
+one container of the configured backend, one hash index per distinct lookup
+key ("For each distinct attribute access in a store, indices are created
+locally" — an access here is the whole set of equality attributes of a probe
+hop), and eviction of tuples that fell out of the retention window.  The
+paper's workers keep an independent container *per epoch* (Algorithm 4) so
+that two configurations coexist for a window during a switch; this engine
+switches plans atomically between two inputs and backfills new stores
+instead (docs/engine.md), so a task never holds more than one container.
 
 Eviction is *incremental*: a container buckets its tuples by coarse
 ``latest_ts`` slices, so an eviction pass drops whole expired buckets (plus
@@ -42,6 +44,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Type,
     TypeVar,
     Union,
     runtime_checkable,
@@ -128,35 +131,24 @@ class StoreBackend(Protocol):
 
 
 def check_backend_name(name: str) -> str:
-    """Validate a backend *configuration* name.
-
-    Accepts every registered backend plus ``"auto"`` (per-task selection
-    from observed statistics); ``"auto"`` is a configuration-level policy,
-    not a container class, so :func:`make_backend` still rejects it — tasks
-    resolve it to a concrete backend first.
-    """
-    if name == "auto" or name in STORE_BACKENDS:
-        return name
-    raise ValueError(
-        f"unknown store backend {name!r}; "
-        f"expected one of {sorted(STORE_BACKENDS) + ['auto']}"
-    )
-
-
-def make_backend(name: str, bucket_width: Optional[float]) -> "StoreBackend":
-    """Instantiate a store backend by concrete configuration name.
-
-    The single registry behind every backend-name surface
-    (:data:`STORE_BACKENDS`): ``RuntimeConfig`` validation, task
-    construction, and the benchmark/experiment CLIs all consume it, so a
-    new backend registers exactly once.
-    """
+    """Validate a backend configuration name against :data:`STORE_BACKENDS`."""
     if name not in STORE_BACKENDS:
         raise ValueError(
             f"unknown store backend {name!r}; "
             f"expected one of {sorted(STORE_BACKENDS)}"
         )
-    return STORE_BACKENDS[name](bucket_width=bucket_width)
+    return name
+
+
+def make_backend(name: str, bucket_width: Optional[float]) -> "StoreBackend":
+    """Instantiate a store backend by configuration name.
+
+    The single registry behind every backend-name surface
+    (:data:`STORE_BACKENDS`): ``RuntimeConfig`` validation, task
+    construction, snapshot loading, and the benchmark/experiment CLIs all
+    consume it, so a new backend registers exactly once.
+    """
+    return STORE_BACKENDS[check_backend_name(name)](bucket_width=bucket_width)
 
 
 _Index = Dict[object, List[StreamTuple]]
@@ -456,10 +448,11 @@ class Container:
 #: ``Container``, to register it — columnar depends only on ``tuples``)
 from .columnar import ColumnarContainer  # noqa: E402  (needs Container first)
 
-STORE_BACKENDS: Dict[str, Callable[..., "StoreBackend"]] = {
+STORE_BACKENDS: Dict[str, Union[Type[Container], Type[ColumnarContainer]]] = {
     "python": Container,
     "columnar": ColumnarContainer,
 }
+
 
 def load_container(state: Mapping[str, Any]) -> "StoreBackend":
     """Rebuild a container from a ``dump_state`` snapshot (any backend).
@@ -470,99 +463,36 @@ def load_container(state: Mapping[str, Any]) -> "StoreBackend":
     :meth:`~repro.engine.columnar.ColumnarContainer.dump_state`).
     """
     backend = state.get("backend")
-    if backend == "python":
-        return Container.load_state(state)
-    if backend == "columnar":
-        return ColumnarContainer.load_state(state)
-    raise ValueError(f"unknown container snapshot backend {backend!r}")
-
-
-#: ``store_backend="auto"`` switches a task to the columnar backend once its
-#: live state is at least this many tuples — below it, numpy per-bucket
-#: dispatch overhead beats the dict index's O(1) candidate lists
-AUTO_WIDTH_THRESHOLD = 256
-#: ...and once the task has actually been probed this many times; a store
-#: that only absorbs inserts gains nothing from vectorized probes
-AUTO_PROBE_THRESHOLD = 32
+    if backend not in STORE_BACKENDS:
+        raise ValueError(f"unknown container snapshot backend {backend!r}")
+    return STORE_BACKENDS[backend].load_state(state)
 
 
 @dataclass
 class StoreTask:
-    """One partition (worker task) of a store."""
+    """One partition (worker task) of a store: one container of one backend."""
 
     store_id: str
     task_index: int
     retention: float
-    containers: Dict[int, StoreBackend] = field(default_factory=dict)
-    #: configured container implementation ("python"|"columnar"|"auto")
+    #: container implementation ("python"|"columnar", see STORE_BACKENDS)
     backend: str = "python"
-    #: concrete choice for ``backend="auto"`` tasks (set at install time;
-    #: ``None`` until the first statistics-driven selection runs)
-    resolved_backend: Optional[str] = None
-    #: probe tuples routed through this task (drives the auto heuristic)
-    probes_seen: int = 0
     #: upper bound of actually-evicted history: retention growth past this
     #: horizon would silently join against dropped state (see
     #: :class:`~repro.engine.rewiring.WindowGrowthError`)
     evicted_through: float = float("-inf")
-    #: per-task copies of the auto-selection thresholds; the runtime threads
-    #: :class:`~repro.engine.runtime.RuntimeConfig` knobs here so deployments
-    #: tune the heuristic without monkeypatching the module constants
-    auto_width_threshold: int = AUTO_WIDTH_THRESHOLD
-    auto_probe_threshold: int = AUTO_PROBE_THRESHOLD
+    #: the task's state, built with the task (bucket width from the
+    #: retention of that moment)
+    container: StoreBackend = field(init=False)
 
-    @property
-    def effective_backend(self) -> str:
-        """The concrete backend new containers use (``"auto"`` resolved)."""
-        if self.resolved_backend is not None:
-            return self.resolved_backend
-        return "python" if self.backend == "auto" else self.backend
-
-    def preferred_backend(self) -> str:
-        """Statistics-driven choice for ``backend="auto"`` tasks: columnar
-        once live state is wide *and* the store is actually probed."""
-        if (
-            self.stored_tuples() >= self.auto_width_threshold
-            and self.probes_seen >= self.auto_probe_threshold
-        ):
-            return "columnar"
-        return "python"
-
-    def switch_backend(self, name: str) -> bool:
-        """Resolve the task to backend ``name``, migrating live state.
-
-        Every epoch container is rebuilt under the new backend (tuples
-        re-inserted in deterministic iteration order).  Returns ``True``
-        iff a migration actually happened.
-        """
-        changed = name != self.effective_backend
-        self.resolved_backend = name
-        if changed:
-            width = self._bucket_width()
-            for epoch, old in list(self.containers.items()):
-                fresh = make_backend(name, width)
-                for tup in old.iter_tuples():
-                    fresh.insert(tup)
-                self.containers[epoch] = fresh
-        return changed
-
-    def _bucket_width(self) -> Optional[float]:
-        if isinf(self.retention) or self.retention <= 0:
-            return None
-        return self.retention / BUCKETS_PER_WINDOW
-
-    def container(self, epoch: int) -> StoreBackend:
-        cont = self.containers.get(epoch)
-        if cont is None:
-            cont = make_backend(self.effective_backend, self._bucket_width())
-            self.containers[epoch] = cont
-        return cont
-
-    def insert(self, epoch: int, tup: StreamTuple) -> None:
-        self.container(epoch).insert(tup)
+    def __post_init__(self) -> None:
+        width = None
+        if not isinf(self.retention) and self.retention > 0:
+            width = self.retention / BUCKETS_PER_WINDOW
+        self.container = make_backend(self.backend, width)
 
     def evict(self, now: float) -> int:
-        """Window-based eviction across all epoch containers.
+        """Window-based eviction of the task's container.
 
         ``now`` is the eviction reference instant: the current event time
         under ordered arrivals, or the runtime's global *watermark* under
@@ -574,52 +504,33 @@ class StoreTask:
         if self.retention == float("inf"):
             return 0
         horizon = now - self.retention
-        freed = 0
-        for cont in self.containers.values():
-            freed += cont.evict_older_than(horizon)
+        freed = self.container.evict_older_than(horizon)
         if freed and horizon > self.evicted_through:
             # record history as lost only when tuples were actually dropped
             self.evicted_through = horizon
         return freed
 
-    def drop_epochs_before(self, epoch: int) -> int:
-        """Bulk-drop whole epoch containers (epoch-aligned state release)."""
-        freed = 0
-        for key in [e for e in self.containers if e < epoch]:
-            freed += sum(t.width for t in self.containers[key].iter_tuples())
-            del self.containers[key]
-        return freed
-
     def stored_tuples(self) -> int:
-        return sum(len(c) for c in self.containers.values())
+        return len(self.container)
 
     # ------------------------------------------------------------------
     # checkpoint/restore
     # ------------------------------------------------------------------
     def dump_state(self) -> Dict[str, Any]:
-        """Snapshot of the task: configuration plus per-epoch containers."""
+        """Snapshot of the task: configuration plus its container's dump."""
         return {
             "store_id": self.store_id,
             "task_index": self.task_index,
             "retention": self.retention,
             "backend": self.backend,
-            "resolved_backend": self.resolved_backend,
-            "probes_seen": self.probes_seen,
             "evicted_through": self.evicted_through,
-            "auto_width_threshold": self.auto_width_threshold,
-            "auto_probe_threshold": self.auto_probe_threshold,
-            "containers": {
-                epoch: cont.dump_state()
-                for epoch, cont in self.containers.items()
-            },
+            "container": self.container.dump_state(),
         }
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "StoreTask":
         """Rebuild a task from :meth:`dump_state` output (exact restore).
 
-        ``probes_seen``/``resolved_backend`` survive, so the
-        ``store_backend="auto"`` heuristic resumes mid-decision, and
         ``evicted_through`` survives, so window-growth safety checks keep
         their history after a restore.
         """
@@ -628,16 +539,9 @@ class StoreTask:
             task_index=int(state["task_index"]),
             retention=state["retention"],
             backend=state["backend"],
-            resolved_backend=state["resolved_backend"],
-            probes_seen=int(state["probes_seen"]),
             evicted_through=state["evicted_through"],
-            auto_width_threshold=int(state["auto_width_threshold"]),
-            auto_probe_threshold=int(state["auto_probe_threshold"]),
         )
-        task.containers = {
-            int(epoch): load_container(cont_state)
-            for epoch, cont_state in state["containers"].items()
-        }
+        task.container = load_container(state["container"])
         return task
 
 

@@ -133,13 +133,13 @@ class TimedSimulator(RewirableRuntime):
             if before.get(store_id) is not tasks:
                 for index in range(len(tasks)):
                     self._task_free.pop((store_id, index), None)
-        # a removed store's state is released, but its (now empty) tasks
+        # a removed store's state is released, but empty tasks in its place
         # stay addressable — and evictable — for messages already queued
         for store_id in record.removed_stores:
-            tasks = before.get(store_id, [])
-            for task in tasks:
-                task.containers.clear()
-            self.tasks[store_id] = tasks
+            self.tasks[store_id] = [
+                self._new_store_task(store_id, task.task_index, task.retention)
+                for task in before.get(store_id, [])
+            ]
         return record
 
     # ------------------------------------------------------------------
@@ -258,13 +258,12 @@ class TimedSimulator(RewirableRuntime):
         stored = False
         for rule in self._rules.get((store_id, label), []):
             if isinstance(rule, StoreRule):
-                task.insert(self._epoch, tup)
+                task.container.insert(tup)
                 self.metrics.on_store(tup.width)
                 stored = True
             elif isinstance(rule, ProbeRule):
-                task.probes_seen += 1
                 matches, checked = probe_batch(
-                    task.container(self._epoch),
+                    task.container,
                     (tup,),
                     self._oriented_for(rule, tup.lineage),
                     self.windows,

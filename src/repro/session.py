@@ -250,11 +250,9 @@ class JoinSession:
         Overridable per push.
     store_backend:
         Container implementation behind every store task: ``"python"``
-        (dict/hash-index), ``"columnar"`` (numpy-vectorized), or ``"auto"``
-        (each task picks between the two from observed live-width and
-        probe-rate statistics, re-evaluated at every replan — see
-        docs/engine.md; decisions surface in ``metrics.store_backends``).
-        Ignored when ``runtime_config`` is given.
+        (dict/hash-index, the default) or ``"columnar"``
+        (numpy-vectorized) — see docs/engine.md.  Conflict-checked against
+        an explicit ``runtime_config``.
     workers:
         Number of shard worker processes (default 1 = single-process).
         With ``workers=N > 1`` the session drives a
@@ -298,13 +296,6 @@ class JoinSession:
         How many closed epochs of statistics inform each periodic decision
         (default 1 — decide from the previous epoch only, the paper's
         schedule).  Only meaningful with ``reoptimize_every``.
-    auto_width_threshold / auto_probe_threshold:
-        Tuning knobs for ``store_backend="auto"``: a store task prefers
-        the columnar container once its live width reaches
-        ``auto_width_threshold`` *and* its probe count reaches
-        ``auto_probe_threshold`` (defaults 256 / 32).  Ignored unless the
-        backend is ``"auto"``; conflict-checked against an explicit
-        ``runtime_config``.
     """
 
     def __init__(
@@ -327,8 +318,6 @@ class JoinSession:
         warmup: int = 0,
         reoptimize_every: Optional[float] = None,
         stats_window: int = 1,
-        auto_width_threshold: Optional[int] = None,
-        auto_probe_threshold: Optional[int] = None,
     ) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
@@ -395,22 +384,6 @@ class JoinSession:
                     "'drop') — the session counts the drop and keeps its "
                     "records consistent"
                 )
-            if (
-                auto_width_threshold is not None
-                and runtime_config.auto_width_threshold != auto_width_threshold
-            ):
-                raise ValueError(
-                    "auto_width_threshold given both directly and via "
-                    "runtime_config"
-                )
-            if (
-                auto_probe_threshold is not None
-                and runtime_config.auto_probe_threshold != auto_probe_threshold
-            ):
-                raise ValueError(
-                    "auto_probe_threshold given both directly and via "
-                    "runtime_config"
-                )
             self._runtime_config = runtime_config
             self.disorder_bound = (
                 float(disorder_bound)
@@ -418,20 +391,10 @@ class JoinSession:
                 else runtime_config.disorder_bound
             )
         else:
-            threshold_overrides = {}
-            if auto_width_threshold is not None:
-                threshold_overrides["auto_width_threshold"] = int(
-                    auto_width_threshold
-                )
-            if auto_probe_threshold is not None:
-                threshold_overrides["auto_probe_threshold"] = int(
-                    auto_probe_threshold
-                )
             self._runtime_config = RuntimeConfig(
                 disorder_bound=engine_bound,
                 store_backend=store_backend or "python",
                 workers=workers or 1,
-                **threshold_overrides,
             )
             self.disorder_bound = (
                 None if disorder_bound is None else float(disorder_bound)
@@ -718,6 +681,22 @@ class JoinSession:
                 f"event timestamp must be finite, got ts={tup.trigger_ts!r} "
                 f"for relation {tup.trigger!r}"
             )
+        try:
+            hash(tuple(tup.values.values()))
+        except TypeError:
+            # statistics histogram every value and the stores index the
+            # join keys: refused after delivery, the tuple would stay in the
+            # pending micro-batch and fail a later sender's flush
+            for attr, value in tup.values.items():
+                try:
+                    hash(value)
+                except TypeError:
+                    raise SessionError(
+                        f"unhashable {type(value).__name__} value for "
+                        f"attribute {attr!r} of relation {tup.trigger!r}; "
+                        f"attribute values must be hashable"
+                    ) from None
+            raise
         runtime = self._runtime
         if runtime is not None and runtime.metrics.failed:
             # process() would silently drop the tuple; a facade that
@@ -1090,8 +1069,7 @@ class JoinSession:
         ``reoptimize_every`` epochs and query churn: if the measured
         statistics change the optimal shared plan, the new topology is
         installed immediately through the live-rewire path (state
-        migration + backfill, ``store_backend="auto"`` reselection); an
-        unchanged plan installs nothing.  Returns the
+        migration + backfill); an unchanged plan installs nothing.  Returns the
         :class:`~repro.core.adaptive.DecisionRecord` (also appended to
         ``metrics.decisions``), or ``None`` when this call produced the
         *first* plan (initial planning is not a decision).

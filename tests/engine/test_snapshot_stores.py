@@ -151,7 +151,7 @@ class TestStoreTaskRoundtrip:
             store_id="S", task_index=0, retention=12.0, backend=backend
         )
         for seq, (ticks, key) in enumerate(entries):
-            task.insert(0, stored(ticks / 10.0, key, key % 2, seq))
+            task.container.insert(stored(ticks / 10.0, key, key % 2, seq))
         state = pickle.loads(pickle.dumps(task.dump_state()))
         clone = StoreTask.from_state(state)
         assert clone.stored_tuples() == task.stored_tuples()
@@ -163,10 +163,10 @@ class TestStoreTaskRoundtrip:
         ]
         if entries:
             res_a, checked_a = probe_batch(
-                task.container(0), probe_tuples, ORIENTED, windows
+                task.container, probe_tuples, ORIENTED, windows
             )
             res_b, checked_b = probe_batch(
-                clone.container(0), probe_tuples, ORIENTED, windows
+                clone.container, probe_tuples, ORIENTED, windows
             )
             assert checked_b == checked_a
             assert [r.key() for r in res_b] == [r.key() for r in res_a]

@@ -174,9 +174,9 @@ class TestEvictionBoundaries:
         """retention <= 0 disables bucketing (no division blowup); eviction
         at ``now`` then clears everything strictly older than ``now``."""
         task = StoreTask(store_id="R", task_index=0, retention=0.0)
-        task.insert(0, input_tuple("R", 1.0, {"a": 1}))
-        task.insert(0, input_tuple("R", 3.0, {"a": 2}))
-        assert task.container(0)._bucket_width is None
+        task.container.insert(input_tuple("R", 1.0, {"a": 1}))
+        task.container.insert(input_tuple("R", 3.0, {"a": 2}))
+        assert task.container._bucket_width is None
         freed = task.evict(now=3.0)
         assert freed == 1  # the tuple exactly at now - 0 survives
         assert task.stored_tuples() == 1
@@ -185,11 +185,11 @@ class TestEvictionBoundaries:
         """A tiny window produces astronomically large bucket ids; eviction
         must still drop exactly the expired tuples."""
         task = StoreTask(store_id="R", task_index=0, retention=1e-9)
-        task.insert(0, input_tuple("R", 1.0, {"a": 1}))
-        task.insert(0, input_tuple("R", 2.0, {"a": 2}))
+        task.container.insert(input_tuple("R", 1.0, {"a": 1}))
+        task.container.insert(input_tuple("R", 2.0, {"a": 2}))
         freed = task.evict(now=2.0)
         assert freed == 1
-        assert [t.latest_ts for t in task.container(0).tuples] == [2.0]
+        assert [t.latest_ts for t in task.container.tuples] == [2.0]
 
     def test_explicit_single_bucket_filters_whole_container(self):
         """``bucket_width=None`` (or coerced 0/inf) keeps one bucket; an
@@ -231,34 +231,18 @@ class TestEvictionBoundaries:
 
 
 class TestStoreTask:
-    def test_per_epoch_containers(self):
-        task = StoreTask(store_id="R", task_index=0, retention=10.0)
-        task.insert(0, input_tuple("R", 1.0, {"a": 1}))
-        task.insert(1, input_tuple("R", 2.0, {"a": 2}))
-        assert len(task.container(0)) == 1
-        assert len(task.container(1)) == 1
-        assert task.stored_tuples() == 2
-
     def test_window_eviction(self):
         task = StoreTask(store_id="R", task_index=0, retention=5.0)
-        task.insert(0, input_tuple("R", 0.0, {"a": 1}))
-        task.insert(0, input_tuple("R", 8.0, {"a": 2}))
+        task.container.insert(input_tuple("R", 0.0, {"a": 1}))
+        task.container.insert(input_tuple("R", 8.0, {"a": 2}))
         freed = task.evict(now=10.0)
         assert freed == 1
         assert task.stored_tuples() == 1
 
     def test_infinite_retention_never_evicts(self):
         task = StoreTask(store_id="R", task_index=0, retention=float("inf"))
-        task.insert(0, input_tuple("R", 0.0, {"a": 1}))
+        task.container.insert(input_tuple("R", 0.0, {"a": 1}))
         assert task.evict(now=1e9) == 0
-
-    def test_drop_epochs_before(self):
-        task = StoreTask(store_id="R", task_index=0, retention=10.0)
-        task.insert(0, input_tuple("R", 1.0, {"a": 1}))
-        task.insert(2, input_tuple("R", 5.0, {"a": 2}))
-        freed = task.drop_epochs_before(2)
-        assert freed == 1
-        assert set(task.containers) == {2}
 
 
 class TestProbeContainer:

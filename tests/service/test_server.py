@@ -206,6 +206,44 @@ class TestDrainSurvives:
         # the failed items do not count as ingested
         assert server.ingested == 2
 
+    def test_unhashable_value_on_a_live_plan_loses_no_acknowledged_push(self):
+        """With a plan live the bad tuple used to be queued in the pending
+        micro-batch before its sender got the error; the next relation
+        change then failed another sender's push and dropped the batch."""
+
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                frames = [
+                    ("R", {"a": 1}, 1.0),
+                    ("S", {"a": 1}, 1.1),
+                    ("S", {"a": [1]}, 1.2),  # refused
+                    ("S", {"a": 2}, 1.3),  # same micro-batch as the bad one
+                    ("R", {"a": 2}, 1.4),
+                ]
+                replies = [
+                    await self._exchange(
+                        reader,
+                        writer,
+                        {"op": "push", "id": i, "relation": rel, "values": v, "ts": ts},
+                    )
+                    for i, (rel, v, ts) in enumerate(frames)
+                ]
+                results = await self._exchange(
+                    reader, writer, {"op": "results", "query": "q1", "id": 9}
+                )
+                writer.close()
+                return session, replies, results
+
+        session, replies, results = asyncio.run(scenario())
+        assert [(f["kind"], f["id"]) for f in replies] == [
+            ("ok", 0), ("ok", 1), ("error", 2), ("ok", 3), ("ok", 4)
+        ]
+        assert "unhashable" in replies[2]["error"]
+        assert results["count"] == 2
+        assert session.verify().ok
+
     def test_non_finite_timestamp_refused_and_service_goes_on(self):
         """``ts=Infinity`` used to be answered ``ok`` and pin the stream's
         high water at +inf: every later push from every client was late
