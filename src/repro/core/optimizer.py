@@ -1,8 +1,10 @@
 """High-level optimizer facade.
 
 ``MultiQueryOptimizer`` ties the pipeline together: enumerate candidates,
-build the ILP (Algorithm 2), warm-start it with the grouped greedy, solve
-with the configured backend, and extract a :class:`SharedPlan`.
+build the ILP (Algorithm 2), solve it with the configured backend — the
+in-house branch-and-bound warm-started with the grouped greedy, HiGHS
+without (it takes no warm start, so none is computed) — and extract a
+:class:`SharedPlan`.
 
 ``optimize_individual`` optimizes every query in isolation (the paper's
 "Individual" baseline in Figures 9a/9c): same machinery, one single-query
@@ -17,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ilp.greedy import GreedySolution, solve_greedy
 from ..ilp.model import Solution, SolveStatus
-from ..ilp.solvers import SolverMethod, solve_model
+from ..ilp.solvers import SolverMethod, resolve_method, solve_model
 from .catalog import StatisticsCatalog
 from .ilp_builder import MqoIlp, OptimizerConfig, build_mqo_ilp
 from .plan import SharedPlan, extract_plan
@@ -54,6 +56,8 @@ class OptimizationResult:
     plan: SharedPlan
     ilp: MqoIlp
     solution: Solution
+    #: the grouped greedy selection, when a solver read it (``"greedy"``
+    #: itself, or the in-house B&B's warm start); ``None`` when HiGHS solved
     greedy: Optional[GreedySolution]
     build_seconds: float
     solve_seconds: float
@@ -128,14 +132,15 @@ class MultiQueryOptimizer:
         ilp = self.build(queries)
         t1 = time.perf_counter()
 
-        method = (
-            SolverMethod(self.solver)
-            if isinstance(self.solver, str)
-            else self.solver
-        )
+        method = resolve_method(ilp.model, self.solver)
         greedy = None
         warm_start = None
-        if self.use_greedy_warm_start or method is SolverMethod.GREEDY:
+        # the greedy is computed for the solver that reads it: it *is* the
+        # "greedy" plan and seeds the in-house B&B's incumbent; HiGHS takes
+        # no warm start
+        if method is SolverMethod.GREEDY or (
+            method is SolverMethod.OWN and self.use_greedy_warm_start
+        ):
             greedy = solve_greedy(ilp.grouped)
             if greedy is not None:
                 warm_start = ilp.warm_start_assignment(greedy)

@@ -5,7 +5,10 @@
 * :class:`Runtime` — what the local and the sharded runtime share;
   :class:`Ingress` — the arrival contract every runtime admits through.
 * :class:`AdaptiveRuntime` — epoch-based re-optimizing runtime (Section VI).
-* :func:`reference_join` — brute-force oracle used by the test suite.
+* :func:`reference_join` — the brute-force oracle behind
+  :meth:`repro.JoinSession.verify` and the test suite.  No engine module
+  imports it: a rewire fills new MIR stores with the indexed
+  :func:`compute_backfill`, which the tests hold to the oracle's list.
 """
 
 from .adaptivity import AdaptiveRuntime, AdaptivityLoop

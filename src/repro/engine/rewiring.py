@@ -6,9 +6,10 @@ whose deployed topology can be *replaced while tuples are flowing*:
 (:func:`repro.core.adaptive.diff_topologies`) and
 
 * creates tasks for added stores, *backfilling* freshly introduced MIR
-  stores from the windowed input stores they derive from (the atomic-switch
-  equivalent of the paper's transition scheme, where old join partners keep
-  being probed iteratively while the new store fills up — Figure 8b),
+  stores from the windowed input stores they derive from with an indexed
+  join (:func:`compute_backfill` — the atomic-switch equivalent of the
+  paper's transition scheme, where old join partners keep being probed
+  iteratively while the new store fills up — Figure 8b),
 * keeps surviving stores' containers in place — shared state is preserved,
   never rebuilt (``EngineMetrics.preserved_tuples`` counts it) — updating
   their retention when the query mix changed it,
@@ -38,9 +39,9 @@ from typing import Dict, List, Optional, Tuple
 from ..core.adaptive import TopologyDiff, diff_topologies
 from ..core.probe_order import maintenance_query
 from ..core.topology import StoreSpec, Topology
-from .reference import reference_join
 from .routing import stable_hash
 from .runtime import TopologyRuntime
+from .stores import orient_predicates
 from .tuples import StreamTuple
 
 __all__ = [
@@ -80,14 +81,83 @@ def compute_backfill(
     """Windowed contents of a freshly introduced MIR store.
 
     ``streams`` maps each of the MIR's input relations to its *live* stored
-    tuples (sorted by event time).  The intermediates carry the max-merged
-    arrival sequence of their components, keeping seq-based probe visibility
-    exact under watermark mode.  Shared by :meth:`RewirableRuntime.install`
+    tuples (sorted by event time).  Shared by :meth:`RewirableRuntime.install`
     and the sharded driver's cross-shard re-shard path (which rebuilds new
     MIR stores centrally from the merged shard dumps).
+
+    An indexed join over the stream lists: relations are visited in a
+    *connected* order (the first one by name, then always the first by name
+    with a predicate into those already joined), so every hop is a dict
+    lookup on its whole equality key (:func:`orient_predicates`) and none
+    degenerates into a cross product.  The indexes are plain dicts local to
+    this call — the live containers are neither indexed nor touched.
+
+    The returned list is element for element what
+    :func:`~repro.engine.reference.reference_join` yields for the MIR's
+    maintenance query (``tests/engine/test_backfill.py``): same order
+    (lexicographic in the components' positions in ``streams``, relations in
+    name order), each intermediate merged in name order, triggered by its
+    latest component (ties to the first name) and carrying the max-merged
+    arrival sequence of its components, which keeps seq-based probe
+    visibility exact under watermark mode.  Equality is the oracle's as
+    well: ``None`` (a missing attribute included) equals ``None``, ``1 ==
+    1.0 == True``, and NaN joins nothing.
     """
-    sub_query = maintenance_query(spec.mir)
-    return reference_join(sub_query, streams, windows)
+    # a Query is connected (a disconnected MIR is refused here), so every
+    # hop below finds a relation with a predicate into the joined ones
+    query = maintenance_query(spec.mir)
+    merge_order = query.relations
+    joined = [merge_order[0]]
+    pending = list(merge_order[1:])
+    # a partial: the probe tuple merged along the evaluation order, and its
+    # components as (position in streams[relation], tuple) in that order
+    partials: List[Tuple[StreamTuple, Tuple[Tuple[int, StreamTuple], ...]]] = [
+        (tup, ((pos, tup),))
+        for pos, tup in enumerate(streams.get(joined[0], ()))
+    ]
+    while pending:
+        relation, predicates = next(
+            (rel, preds)
+            for rel in pending
+            if (preds := sorted(query.predicates_between(joined, (rel,))))
+        )
+        hop = orient_predicates(tuple(predicates), joined)
+        index: Dict[Tuple[object, ...], List[Tuple[int, StreamTuple]]] = {}
+        for pos, stored in enumerate(streams.get(relation, ())):
+            key = tuple([stored.values.get(attr) for attr in hop.stored_attrs])
+            # a dict would match a NaN object with itself by identity
+            if all(value == value for value in key):
+                index.setdefault(key, []).append((pos, stored))
+        extended = []
+        for probe, picks in partials:
+            key = tuple([probe.values.get(attr) for attr in hop.probe_attrs])
+            for pick in index.get(key, ()):
+                if probe.within_windows(pick[1], windows):
+                    extended.append((probe.merge(pick[1]), picks + (pick,)))
+        partials = extended
+        joined.append(relation)
+        pending.remove(relation)
+
+    slots = [joined.index(relation) for relation in merge_order]
+    rows = sorted(
+        ([picks[slot] for slot in slots] for _, picks in partials),
+        key=lambda row: [pos for pos, _ in row],
+    )
+    intermediates = []
+    for row in rows:
+        merged = row[0][1]
+        for _, component in row[1:]:
+            merged = merged.merge(component)
+        latest = max(sorted(merged.timestamps), key=merged.timestamps.__getitem__)
+        out = StreamTuple(
+            values=merged.values,
+            timestamps=merged.timestamps,
+            trigger=latest,
+            trigger_ts=merged.timestamps[latest],
+        )
+        out.seq = merged.seq
+        intermediates.append(out)
+    return intermediates
 
 
 @dataclass
@@ -261,9 +331,10 @@ class RewirableRuntime(TopologyRuntime):
 
         The paper instead keeps supplementary probe orders alive for one
         window; backfilling is the atomic-switch equivalent with identical
-        result sets (docs/engine.md, "Timed simulation").  The intermediates
-        carry the max-merged arrival sequence of their components, keeping
-        seq-based probe visibility exact under watermark mode.
+        result sets (docs/engine.md, "Timed simulation").  The live tuples
+        are listed once per input relation and joined by
+        :func:`compute_backfill` over indexes of its own, so the input
+        stores gain no index and keep their contents.
         """
         streams: Dict[str, List[StreamTuple]] = {}
         for relation in spec.mir.relations:

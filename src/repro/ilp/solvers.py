@@ -15,7 +15,13 @@ from .bnb import BranchAndBoundSolver
 from .model import Model, Solution, Variable
 from .scipy_backend import ScipyMilpSolver
 
-__all__ = ["SolverMethod", "solve_model", "AUTO_OWN_MAX_VARS", "AUTO_OWN_MAX_CONSTRAINTS"]
+__all__ = [
+    "SolverMethod",
+    "resolve_method",
+    "solve_model",
+    "AUTO_OWN_MAX_VARS",
+    "AUTO_OWN_MAX_CONSTRAINTS",
+]
 
 #: instance-size thresholds above which ``auto`` delegates to scipy/HiGHS
 AUTO_OWN_MAX_VARS = 250
@@ -32,6 +38,23 @@ class SolverMethod(enum.Enum):
     GREEDY = "greedy"
 
 
+def resolve_method(model: Model, method: SolverMethod | str) -> SolverMethod:
+    """The method that will solve ``model``: ``auto`` resolved by its size.
+
+    The one home of the ``AUTO_OWN_MAX_*`` rule.  Callers that prepare
+    something only one backend reads (the greedy warm start seeds the
+    in-house branch-and-bound; HiGHS takes none) ask here first.
+    """
+    method = SolverMethod(method)
+    if method is SolverMethod.AUTO:
+        small = (
+            model.num_vars <= AUTO_OWN_MAX_VARS
+            and model.num_constraints <= AUTO_OWN_MAX_CONSTRAINTS
+        )
+        return SolverMethod.OWN if small else SolverMethod.SCIPY
+    return method
+
+
 def solve_model(
     model: Model,
     method: SolverMethod | str = SolverMethod.AUTO,
@@ -39,21 +62,13 @@ def solve_model(
     time_limit: Optional[float] = None,
 ) -> Solution:
     """Solve ``model`` to optimality with the selected backend."""
-    if isinstance(method, str):
-        method = SolverMethod(method)
+    method = resolve_method(model, method)
 
     if method is SolverMethod.GREEDY:
         raise ValueError(
             "the greedy heuristic operates on the grouped selection problem, "
             "not a bare Model; use MultiQueryOptimizer(..., solver='greedy')"
         )
-
-    if method is SolverMethod.AUTO:
-        small = (
-            model.num_vars <= AUTO_OWN_MAX_VARS
-            and model.num_constraints <= AUTO_OWN_MAX_CONSTRAINTS
-        )
-        method = SolverMethod.OWN if small else SolverMethod.SCIPY
 
     if method is SolverMethod.OWN:
         solver = BranchAndBoundSolver(time_limit=time_limit)

@@ -7,6 +7,8 @@ Includes the paper's two worked examples:
 
 import pytest
 
+from repro.core import optimizer as optimizer_module
+from repro.core.adaptive import plan_signature
 from repro.core.catalog import StatisticsCatalog
 from repro.core.ilp_builder import (
     OptimizerConfig,
@@ -21,7 +23,9 @@ from repro.core.predicates import JoinPredicate
 from repro.core.query import Query
 from repro.ilp.greedy import solve_greedy
 from repro.ilp.model import SolveStatus
-from repro.ilp.solvers import solve_model
+from repro.ilp import solvers as solvers_module
+from repro.ilp.solvers import SolverMethod, resolve_method, solve_model
+from repro.streams.tpch import five_query_workload, tpch_catalog
 
 
 @pytest.fixture()
@@ -241,3 +245,87 @@ class TestPlanExtraction:
         opt = MultiQueryOptimizer(paper_catalog, _flat_config(), solver="own")
         text = opt.optimize(list(paper_queries)).plan.describe()
         assert "q:q1:R" in text and "q:q2:U" in text
+
+
+class TestGreedyIsComputedWhereItIsRead:
+    """The grouped greedy is the ``"greedy"`` plan and the in-house B&B's
+    warm start; HiGHS takes none, so ``optimize`` asks ``resolve_method``
+    which solver will run before computing it."""
+
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        """Counts ``solve_greedy`` calls, records what ``solve_model`` got."""
+        seen = {"greedy_calls": 0, "warm_starts": []}
+
+        def counting_greedy(grouped):
+            seen["greedy_calls"] += 1
+            return solve_greedy(grouped)
+
+        def recording_solve(model, **kwargs):
+            seen["warm_starts"].append(kwargs["warm_start"])
+            return solve_model(model, **kwargs)
+
+        monkeypatch.setattr(optimizer_module, "solve_greedy", counting_greedy)
+        monkeypatch.setattr(optimizer_module, "solve_model", recording_solve)
+        return seen
+
+    @staticmethod
+    def _tpch(solver, **kwargs):
+        """The first plan of the ``tpch5_probe`` workload: 348 variables."""
+        cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=1))
+        opt = MultiQueryOptimizer(tpch_catalog(), cfg, solver=solver, **kwargs)
+        return opt.optimize(five_query_workload())
+
+    @staticmethod
+    def _tiny(solver):
+        catalog = StatisticsCatalog().with_rate("R", 10.0).with_rate("S", 10.0)
+        opt = MultiQueryOptimizer(catalog, solver=solver)
+        return opt.optimize([Query.of("q", "R.a=S.a")])
+
+    def test_highs_sized_model_computes_no_greedy(self, spy):
+        res = self._tpch("auto")
+        assert res.ilp.model.num_vars == 348
+        assert resolve_method(res.ilp.model, "auto") is SolverMethod.SCIPY
+        assert spy == {"greedy_calls": 0, "warm_starts": [None]}
+        assert res.greedy is None
+
+    @pytest.mark.parametrize("solver", ["auto", "own"])
+    def test_branch_and_bound_is_seeded(self, spy, solver):
+        res = self._tiny(solver)
+        assert res.ilp.model.num_vars == 4
+        assert resolve_method(res.ilp.model, solver) is SolverMethod.OWN
+        assert spy["greedy_calls"] == 1
+        (warm_start,) = spy["warm_starts"]
+        assert warm_start is not None and res.ilp.model.is_feasible(warm_start)
+        assert res.greedy is not None
+
+    def test_explicit_scipy_computes_no_greedy(self, spy):
+        assert self._tiny("scipy").greedy is None
+        assert spy == {"greedy_calls": 0, "warm_starts": [None]}
+
+    @pytest.mark.parametrize("workload", ["_tiny", "_tpch"])
+    def test_greedy_method_computes_it_once(self, spy, workload):
+        res = getattr(self, workload)("greedy")
+        assert res.greedy is not None
+        assert res.solution.status is SolveStatus.FEASIBLE
+        # the greedy selection is the solution: no solver ran
+        assert spy == {"greedy_calls": 1, "warm_starts": []}
+
+    def test_plan_does_not_depend_on_the_flag_when_highs_solves(self):
+        with_flag = self._tpch("auto", use_greedy_warm_start=True)
+        without = self._tpch("auto", use_greedy_warm_start=False)
+        assert plan_signature(with_flag.plan) == plan_signature(without.plan)
+
+    def test_the_size_rule_has_one_home(self, spy, monkeypatch):
+        """Moving the threshold moves ``solve_model`` and ``optimize``
+        together: both go through ``resolve_method``."""
+        monkeypatch.setattr(solvers_module, "AUTO_OWN_MAX_VARS", 3)
+        res = self._tiny("auto")
+        assert resolve_method(res.ilp.model, "auto") is SolverMethod.SCIPY
+        assert spy == {"greedy_calls": 0, "warm_starts": [None]}
+
+        def refuse(self, model, warm_start=None):
+            raise AssertionError("auto sent a model above the threshold to the B&B")
+
+        monkeypatch.setattr(solvers_module.BranchAndBoundSolver, "solve", refuse)
+        assert solve_model(res.ilp.model, method="auto").status is SolveStatus.OPTIMAL

@@ -161,3 +161,29 @@ def test_option_surface_is_a_reviewed_list():
         "on_late",
         "workers",
     ]
+
+
+def test_no_engine_module_imports_the_oracle():
+    """``engine/reference.py`` is the brute-force oracle of ``verify()`` and
+    the tests.  The production engine must not compute with it (a rewire
+    once backfilled new MIR stores through it, at 6x the cost of the step):
+    only the package ``__init__`` re-exports it."""
+    import ast
+
+    oracle_names = {"reference", "reference_join", "result_keys", "describe_result_diff"}
+    engine = Path(repro.__file__).resolve().parent / "engine"
+    offenders = []
+    for path in sorted(engine.glob("*.py")):
+        if path.name in ("reference.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                names.add((node.module or "").rpartition(".")[2])
+            elif isinstance(node, ast.Import):
+                names = {alias.name.rpartition(".")[2] for alias in node.names}
+            else:
+                continue
+            if names & oracle_names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"engine modules importing the oracle: {offenders}"
