@@ -228,12 +228,11 @@ class RewirableRuntime(TopologyRuntime):
                     task.retention = spec.retention
 
         self.topology = topology
+        # recompiles the plan (and the window mode, since the relation set
+        # may have changed): retired edges and rules are unreachable from
+        # here on.  The plan binds no task list, so the repartitioned and
+        # added stores' fresh tasks need nothing more.
         self._install_stores(topology)
-        # the relation set (and thus window uniformity) may have changed
-        self._uniform_window = self._compute_uniform_window()
-        # retired rules are unreachable from here on; drop their cached
-        # orientations instead of accumulating them across a session's churn
-        self._oriented_cache.clear()
 
         for store_id in diff.added:
             spec = topology.stores[store_id]

@@ -14,17 +14,21 @@ Hot-path design (see docs/engine.md):
 
 * Inputs drain in micro-batches: consecutive tuples of the
   same relation share one cascade, and every inter-task hop carries a
-  *batch* of tuples, so edge/rule lookups, hash-index resolution, predicate
-  orientation, and metrics bookkeeping are amortized across the batch.
-  Batching is sound because (a) cascades triggered by the same relation
-  never interact — probes only target stores whose lineage is disjoint
-  from the probing tuple, stores always target lineage-containing stores —
-  and (b) the strict ``arrived_before`` order makes same-trigger tuples
-  invisible to each other.  A plan switch (``install``) flushes the
-  pending micro-batch first, so it always falls between two inputs.
-* A hop's equality key (probe-side attributes, stored-side lookup key)
-  depends only on the probing tuple's lineage, which is fixed per topology
-  edge; it is resolved once per (rule, lineage) and cached.
+  *batch* of tuples, so hash-index resolution and metrics bookkeeping are
+  amortized across the batch.  Batching is sound because (a) cascades
+  triggered by the same relation never interact — probes only target
+  stores whose lineage is disjoint from the probing tuple, stores always
+  target lineage-containing stores — and (b) the strict ``arrived_before``
+  order makes same-trigger tuples invisible to each other.  A plan switch
+  (``install``) flushes the pending micro-batch first, so it always falls
+  between two inputs.
+* The deployed topology is compiled into a tree of hops per ingest
+  relation (:class:`_Hop`) when it is deployed or replaced: each hop holds
+  its edge's target store, whether it routes, and its rules with their
+  equality keys (a hop's probing lineage is fixed per edge) and child
+  hops.  A cascade walks that tree; nothing of the topology is looked up
+  per hop.  Interleaved feeds flush groups of ~1.1 inputs, so this — not
+  batching — is what keeps the per-input cost down.
 * When every relation shares one window length, the pairwise window check
   collapses to an O(1) comparison of precomputed timestamp extrema.
 
@@ -70,9 +74,10 @@ from typing import (
     Tuple,
     TypeVar,
     Union,
+    cast,
 )
 
-from ..core.topology import EdgeSpec, ProbeRule, StoreRule, StoreSpec, Topology
+from ..core.topology import EdgeSpec, StoreRule, StoreSpec, Topology
 from .columnar import ColumnarContainer, VectorBatch
 from .ingress import Ingress, LateArrivalError
 from .metrics import EngineMetrics
@@ -97,6 +102,17 @@ __all__ = [
     "RuntimeConfig",
     "TopologyRuntime",
 ]
+
+#: what travels along an edge: a same-lineage tuple batch, or probe
+#: survivors still in vector form
+_Payload = Union[Sequence[StreamTuple], VectorBatch]
+
+
+def _rows(payload: _Payload) -> Sequence[StreamTuple]:
+    """``payload`` as tuples (a vector batch materializes, cached)."""
+    if isinstance(payload, VectorBatch):
+        return payload.materialize()
+    return payload
 
 
 @dataclass
@@ -155,6 +171,58 @@ class RuntimeConfig:
             )
         if self.disorder_bound is not None and self.disorder_bound < 0:
             raise ValueError("disorder_bound must be >= 0")
+
+
+#: one compiled rule: (the probe's whole equality key, or ``None`` for a
+#: store rule; the queries its survivors complete; the hops they continue on)
+_HopRule = Tuple[Optional[HopKey], Tuple[str, ...], Tuple["_Hop", ...]]
+
+
+class _Hop:
+    """One edge of the compiled plan: what delivering a batch along it
+    needs, resolved when the topology was deployed
+    (:meth:`TopologyRuntime._compile`).
+
+    ``rules`` follow the edge's ruleset order.  Rules that share an out
+    edge share its child hop object, so their survivors join one batch.
+    Task lists are not bound here — restore, repartition and rewire replace
+    them — so a delivery looks its store's tasks up by ``store_id``.
+    """
+
+    __slots__ = (
+        "store_id",
+        "edge",
+        "spec",
+        "routed",
+        "storage",
+        "vector",
+        "rules",
+        "gather",
+    )
+
+    def __init__(
+        self,
+        edge: EdgeSpec,
+        spec: StoreSpec,
+        storage: bool,
+        vector: bool,
+        rules: Tuple[_HopRule, ...],
+    ) -> None:
+        self.store_id = spec.store_id
+        self.edge = edge
+        self.spec = spec
+        #: tuples are routed per task (``parallelism > 1``)
+        self.routed = spec.parallelism > 1
+        #: the edge stores what it carries: an unroutable tuple goes to one
+        #: task by a stable hash of the whole tuple, not to every task
+        self.storage = storage
+        #: probes run on the vector path and survivors stay a VectorBatch
+        #: (columnar stores, a uniform window, ``vectorized_cascades``)
+        self.vector = vector
+        self.rules = rules
+        #: child hops wait until every task and rule of this hop ran (with
+        #: one task and one rule they may follow their rule at once)
+        self.gather = self.routed or len(rules) > 1
 
 
 class Runtime:
@@ -286,7 +354,10 @@ class Runtime:
     def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
         self.metrics.on_result(query, completion_ts, result.trigger_ts)
         if self.config.collect_outputs:
-            self.outputs.setdefault(query, []).append(result)
+            collected = self.outputs.get(query)
+            if collected is None:
+                collected = self.outputs[query] = []
+            collected.append(result)
         if self._sink is not None:
             self._sink(query, result)
 
@@ -315,14 +386,10 @@ class TopologyRuntime(Runtime):
                 "JoinSession) instead of a TopologyRuntime"
             )
         self.tasks: Dict[str, List[StoreTask]] = {}
-        self._storage_edges: Dict[str, bool] = {}
         self._ops_since_evict = 0
-        #: (id(rule), probe lineage) -> (rule ref, the hop's equality key);
-        #: the rule reference keeps the key's id() stable
-        self._oriented_cache: Dict[
-            Tuple[int, FrozenSet[str]], Tuple[ProbeRule, HopKey]
-        ] = {}
-        self._uniform_window = self._compute_uniform_window()
+        self._uniform_window: Optional[float] = None
+        #: the compiled plan: ingest relation -> the hops its inputs take
+        self._plan: Dict[str, Tuple[_Hop, ...]] = {}
         #: watermark mode: probe visibility by arrival seq, eviction against
         #: the watermark
         self._seq_visibility = self.config.disorder_bound is not None
@@ -347,18 +414,55 @@ class TopologyRuntime(Runtime):
         )
 
     def _install_stores(self, topology: Topology) -> None:
+        """Deploy ``topology`` (already ``self.topology``): tasks for the
+        stores that have none yet, then the window mode and the plan."""
         for store_id, spec in topology.stores.items():
             if store_id not in self.tasks:
                 self.tasks[store_id] = [
                     self._new_store_task(store_id, i, spec.retention)
                     for i in range(spec.parallelism)
                 ]
-        self._storage_edges = {
-            label: any(
-                isinstance(rule, StoreRule)
-                for rule in topology.rules_for(edge.target_store, label)
-            )
-            for label, edge in topology.edges.items()
+        # the relation set (and thus window uniformity) may have changed
+        self._uniform_window = self._compute_uniform_window()
+        self._plan = self._compile(topology)
+
+    def _compile(self, topology: Topology) -> Dict[str, Tuple[_Hop, ...]]:
+        """The hop tree of every ingest relation (see :class:`_Hop`).
+
+        A hop's probing lineage is fixed: an ingest edge carries its
+        relation, and a probe's survivors add the probed store's relations.
+        """
+        vector = (
+            self.config.vectorized_cascades
+            and self._uniform_window is not None
+            and self.config.store_backend == "columnar"
+        )
+
+        def hop(label: str, lineage: FrozenSet[str]) -> _Hop:
+            edge = topology.edges[label]
+            spec = topology.stores[edge.target_store]
+            out_lineage = lineage | spec.mir.relations
+            children: Dict[str, _Hop] = {}
+            rules: List[_HopRule] = []
+            storage = False
+            for rule in topology.rules_for(edge.target_store, label):
+                if isinstance(rule, StoreRule):
+                    storage = True
+                    rules.append((None, (), ()))
+                    continue
+                targets: List[_Hop] = []
+                for out_label in rule.out_edges:
+                    child = children.get(out_label)
+                    if child is None:
+                        child = children[out_label] = hop(out_label, out_lineage)
+                    targets.append(child)
+                key = orient_predicates(rule.predicates, lineage)
+                rules.append((key, rule.outputs, tuple(targets)))
+            return _Hop(edge, spec, storage, vector, tuple(rules))
+
+        return {
+            relation: tuple(hop(label, frozenset((relation,))) for label in labels)
+            for relation, labels in topology.ingest.items()
         }
 
     def _compute_uniform_window(self) -> Optional[float]:
@@ -503,8 +607,8 @@ class TopologyRuntime(Runtime):
             # cascade would overshoot the failure point by up to a batch.
             self.metrics.on_input(ts)
             self._maybe_evict(ts)
-            for label in self.topology.ingest.get(tup.trigger, []):
-                self._send_logical(label, (tup,), ts)
+            for hop in self._plan.get(tup.trigger, ()):
+                self._deliver(hop, (tup,))
             self._check_memory()
 
     def flush(self) -> None:
@@ -527,161 +631,127 @@ class TopologyRuntime(Runtime):
         window checks fail anyway.
         """
         now = group[-1].trigger_ts
-        for label in self.topology.ingest.get(relation, []):
-            self._send_logical(label, group, now)
+        for hop in self._plan.get(relation, ()):
+            self._deliver(hop, group)
         self._maybe_evict(now, ops=len(group))
         self._check_memory()
 
-    def _send_logical(
-        self,
-        label: str,
-        tups: Union[Sequence[StreamTuple], VectorBatch],
-        now: float,
-    ) -> None:
-        """Deliver a batch of same-lineage tuples along one edge.
+    def _deliver(self, hop: _Hop, payload: _Payload) -> None:
+        """Deliver a batch of same-lineage tuples along one compiled edge,
+        then along every edge its survivors continue on.
 
-        ``tups`` is either a tuple sequence or a
-        :class:`~repro.engine.columnar.VectorBatch` carrying unmaterialized
-        probe survivors from the previous hop.  Vector form survives a hop
-        only while the target store is a single-task columnar container
-        under a uniform window; every other boundary (per-tuple routing,
-        raw storage, python-backend probes, query emission) materializes —
-        with identical results, order, and metrics either way.
+        ``payload`` is a tuple sequence or a
+        :class:`~repro.engine.columnar.VectorBatch` of unmaterialized probe
+        survivors.  Vector form stays only into a vector probe of an
+        unrouted hop; per-tuple routing, storage, python-backend probes and
+        emission materialize — with identical results, order, and metrics
+        either way.  Order: tasks in first-routed order, then rules in
+        ruleset order, emissions as they occur, child hops last in the
+        order their first survivors appeared.
         """
-        topology = self.topology
-        edge = topology.edges[label]
-        store_id = edge.target_store
-        spec = topology.stores[store_id]
-        tasks = self.tasks[store_id]
-        rules = topology.rules_for(store_id, label)
-
-        vector = tups if isinstance(tups, VectorBatch) else None
-        per_task: Dict[int, object]
-        if spec.parallelism <= 1:
-            self.metrics.on_send(len(tups))
-            per_task = {0: vector if vector is not None else list(tups)}
+        # the counters of on_send / on_store / on_probe_batch are added
+        # inline: this loop runs ~4 times per input
+        metrics = self.metrics
+        tasks = self.tasks[hop.store_id]
+        batches: Iterable[Tuple[int, _Payload]]
+        if hop.routed:
+            batches = self._route(hop, payload)
         else:
-            if vector is not None:
-                tups = vector.materialize()
-            per_task = {}
-            fanout = 0
-            for tup in tups:
-                targets = self._resolve_targets(label, edge, spec, tup)
-                fanout += len(targets)
-                for task_index in targets:
-                    bucket = per_task.get(task_index)
-                    if bucket is None:
-                        per_task[task_index] = [tup]
-                    else:
-                        bucket.append(tup)
-            self.metrics.on_send(fanout)
+            sent = len(payload)
+            metrics.messages_sent += sent
+            metrics.tuples_sent += sent
+            batches = ((0, payload),)
 
-        vectorize = (
-            self.config.vectorized_cascades and self._uniform_window is not None
-        )
-        out_batches: Dict[str, object] = {}
-        for task_index, batch in per_task.items():
+        outs: Optional[Dict[_Hop, _Payload]] = None
+        gather = hop.gather
+        vector = hop.vector
+        for task_index, batch in batches:
             container = tasks[task_index].container
-            vbatch = batch if isinstance(batch, VectorBatch) else None
-            for rule in rules:
-                if isinstance(rule, StoreRule):
+            for key, outputs, children in hop.rules:
+                if key is None:
                     width = 0
-                    rows = vbatch.materialize() if vbatch is not None else batch
-                    for tup in rows:
+                    for tup in _rows(batch):
                         container.insert(tup)
                         width += tup.width
-                    self.metrics.on_store(width)
-                elif isinstance(rule, ProbeRule):
-                    lineage = (
-                        vbatch.lineage if vbatch is not None else batch[0].lineage
+                    stored = metrics.stored_units + width
+                    metrics.stored_units = stored
+                    if stored > metrics.peak_stored_units:
+                        metrics.peak_stored_units = stored
+                    continue
+                matches: Optional[_Payload]
+                if vector:
+                    matches, checked = cast(
+                        ColumnarContainer, container
+                    ).probe_batch_vector(
+                        batch
+                        if isinstance(batch, VectorBatch)
+                        else VectorBatch.from_tuples(batch),
+                        key,
+                        cast(float, self._uniform_window),
+                        self._seq_visibility,
                     )
-                    oriented = self._oriented_for(rule, lineage)
-                    if vectorize and isinstance(container, ColumnarContainer):
-                        vb_in = (
-                            vbatch
-                            if vbatch is not None
-                            else VectorBatch.from_tuples(batch)
-                        )
-                        matches, checked = container.probe_batch_vector(
-                            vb_in,
-                            oriented,
-                            self._uniform_window,
-                            self._seq_visibility,
-                        )
-                    else:
-                        rows = (
-                            vbatch.materialize() if vbatch is not None else batch
-                        )
-                        matches, checked = probe_batch(
-                            container,
-                            rows,
-                            oriented,
-                            self.windows,
-                            self._uniform_window,
-                            self._seq_visibility,
-                        )
-                    self.metrics.on_probe_batch(len(batch), checked)
-                    if matches is not None and len(matches):
-                        if rule.outputs:
-                            emitted = (
-                                matches.materialize()
-                                if isinstance(matches, VectorBatch)
-                                else matches
-                            )
-                            for query in rule.outputs:
-                                for match in emitted:
-                                    # logical completion is the triggering
-                                    # instant itself (latency 0, as unbatched)
-                                    self._emit(query, match, match.trigger_ts)
-                        for out_label in rule.out_edges:
-                            self._append_out(out_batches, out_label, matches)
-        for out_label, batch in out_batches.items():
-            self._send_logical(out_label, batch, now)
+                else:
+                    matches, checked = probe_batch(
+                        container,
+                        _rows(batch),
+                        key,
+                        self.windows,
+                        self._uniform_window,
+                        self._seq_visibility,
+                    )
+                metrics.probes_executed += len(batch)
+                metrics.comparisons += checked
+                if not matches:
+                    continue
+                if outputs:
+                    emitted = _rows(matches)
+                    for query in outputs:
+                        for match in emitted:
+                            # logical completion is the triggering instant
+                            # itself (latency 0, as unbatched)
+                            self._emit(query, match, match.trigger_ts)
+                if not gather:
+                    # the hop's only task and rule: nothing runs between
+                    # this rule and its children
+                    for child in children:
+                        self._deliver(child, matches)
+                    continue
+                if outs is None:
+                    outs = {}
+                for child in children:
+                    pending = outs.get(child)
+                    # survivors of two sources (rules or tasks) sharing an
+                    # out edge join one materialized batch
+                    outs[child] = (
+                        matches
+                        if pending is None
+                        else [*_rows(pending), *_rows(matches)]
+                    )
+        if outs is not None:
+            for child, batch in outs.items():
+                self._deliver(child, batch)
 
-    @staticmethod
-    def _append_out(
-        out_batches: Dict[str, Union[VectorBatch, List[StreamTuple]]],
-        out_label: str,
-        matches: Union[VectorBatch, Iterable[StreamTuple]],
-    ) -> None:
-        """Accumulate one rule's survivors into the pending hop payloads.
-
-        A vector batch stays vectorized only while it is the sole payload
-        for its edge; merging with another source materializes both sides
-        (rules sharing an out edge are rare — correctness over carriage).
-        """
-        pending = out_batches.get(out_label)
-        if pending is None:
-            out_batches[out_label] = (
-                matches if isinstance(matches, VectorBatch) else list(matches)
-            )
-            return
-        if isinstance(pending, VectorBatch):
-            pending = list(pending.materialize())
-            out_batches[out_label] = pending
-        if isinstance(matches, VectorBatch):
-            pending.extend(matches.materialize())
-        else:
-            pending.extend(matches)
-
-    def _oriented_for(self, rule: ProbeRule, lineage: FrozenSet[str]) -> HopKey:
-        """Cached equality key (:func:`orient_predicates`) of a rule+lineage."""
-        key = (id(rule), lineage)
-        entry = self._oriented_cache.get(key)
-        if entry is None:
-            entry = (rule, orient_predicates(rule.predicates, lineage))
-            self._oriented_cache[key] = entry
-        return entry[1]
-
-    def _resolve_targets(
-        self, label: str, edge: EdgeSpec, spec: StoreSpec, tup: StreamTuple
-    ) -> List[int]:
-        targets = target_tasks(edge, spec, tup)
-        if len(targets) > 1 and self._storage_edges.get(label):
-            # A storage edge must place each tuple on exactly one task;
-            # an unroutable storage edge falls back to a stable tuple hash.
-            return [stable_hash(tup.key()) % spec.parallelism]
-        return targets
+    def _route(
+        self, hop: _Hop, payload: _Payload
+    ) -> Iterable[Tuple[int, List[StreamTuple]]]:
+        """Split a routed hop's payload per target task, tasks in the
+        order they are first routed to (a broadcast counts once per task)."""
+        edge, spec = hop.edge, hop.spec
+        per_task: Dict[int, List[StreamTuple]] = {}
+        fanout = 0
+        for tup in _rows(payload):
+            targets = target_tasks(edge, spec, tup)
+            if len(targets) > 1 and hop.storage:
+                targets = [stable_hash(tup.key()) % spec.parallelism]
+            fanout += len(targets)
+            for task_index in targets:
+                bucket = per_task.get(task_index)
+                if bucket is None:
+                    per_task[task_index] = [tup]
+                else:
+                    bucket.append(tup)
+        self.metrics.on_send(fanout)
+        return per_task.items()
 
     # ------------------------------------------------------------------
     # housekeeping

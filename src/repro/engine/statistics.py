@@ -48,10 +48,14 @@ class EpochStatistics:
             self.first_ts = tup.trigger_ts
         if self.last_ts is None or tup.trigger_ts > self.last_ts:
             self.last_ts = tup.trigger_ts
+        histograms = self.histograms
         for attr, value in tup.values.items():
             if attr in self._saturated:
                 continue
-            hist = self.histograms.setdefault(attr, Counter())
+            # not setdefault(attr, Counter()): that builds a Counter per call
+            hist = histograms.get(attr)
+            if hist is None:
+                hist = histograms[attr] = Counter()
             hist[value] += 1
             if len(hist) > MAX_HISTOGRAM_ENTRIES:
                 self._saturated.add(attr)
@@ -64,7 +68,9 @@ class EpochStatistics:
         for attr, hist in other.histograms.items():
             if attr in self._saturated:
                 continue
-            mine = self.histograms.setdefault(attr, Counter())
+            mine = self.histograms.get(attr)
+            if mine is None:
+                mine = self.histograms[attr] = Counter()
             mine.update(hist)
             if len(mine) > MAX_HISTOGRAM_ENTRIES:
                 self._saturated.add(attr)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.topology import (
     EdgeSpec,
@@ -46,8 +46,9 @@ from ..engine.adaptivity import AdaptivityLoop
 from ..engine.metrics import EngineMetrics
 from ..engine.profiles import CLASH_PROFILE, EngineProfile
 from ..engine.rewiring import RewirableRuntime, SwitchRecord
+from ..engine.routing import stable_hash, target_tasks
 from ..engine.runtime import RuntimeConfig
-from ..engine.stores import StoreTask, probe_batch
+from ..engine.stores import HopKey, StoreTask, orient_predicates, probe_batch
 from ..engine.tuples import StreamTuple
 
 __all__ = ["TimedSimulator"]
@@ -100,6 +101,13 @@ class TimedSimulator(RewirableRuntime):
         self._edges: Dict[str, EdgeSpec] = {}
         self._specs: Dict[str, StoreSpec] = {}
         self._rules: Dict[Tuple[str, str], List[Rule]] = {}
+        #: edges of the deployed plan that store what they carry
+        self._storage_edges: Dict[str, bool] = {}
+        #: (id(rule), probe lineage) -> (rule ref, the hop's equality key);
+        #: the rule reference keeps the key's id() stable
+        self._hop_keys: Dict[
+            Tuple[int, FrozenSet[str]], Tuple[ProbeRule, HopKey]
+        ] = {}
         self._remember(topology)
 
     def process(self, tup: StreamTuple) -> None:
@@ -117,6 +125,13 @@ class TimedSimulator(RewirableRuntime):
         for store_id, ruleset in topology.rulesets.items():
             for label, rules in ruleset.items():
                 self._rules[(store_id, label)] = rules
+        self._storage_edges = {
+            label: any(
+                isinstance(rule, StoreRule)
+                for rule in topology.rules_for(edge.target_store, label)
+            )
+            for label, edge in topology.edges.items()
+        }
 
     def install(
         self,
@@ -240,7 +255,11 @@ class TimedSimulator(RewirableRuntime):
     ) -> None:
         edge = self._edges[label]
         spec = self._specs[edge.target_store]
-        targets = self._resolve_targets(label, edge, spec, tup)
+        targets = target_tasks(edge, spec, tup)
+        if len(targets) > 1 and self._storage_edges.get(label):
+            # a storage edge places each tuple on exactly one task; an
+            # unroutable one falls back to a stable tuple hash
+            targets = [stable_hash(tup.key()) % spec.parallelism]
         self.metrics.on_send(len(targets))
         arrival = now + self.profile.network_delay
         for task_index in targets:
@@ -262,10 +281,14 @@ class TimedSimulator(RewirableRuntime):
                 self.metrics.on_store(tup.width)
                 stored = True
             elif isinstance(rule, ProbeRule):
+                entry = self._hop_keys.get((id(rule), tup.lineage))
+                if entry is None:
+                    entry = (rule, orient_predicates(rule.predicates, tup.lineage))
+                    self._hop_keys[(id(rule), tup.lineage)] = entry
                 matches, checked = probe_batch(
                     task.container,
                     (tup,),
-                    self._oriented_for(rule, tup.lineage),
+                    entry[1],
                     self.windows,
                     self._uniform_window,
                 )

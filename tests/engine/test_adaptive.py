@@ -1,6 +1,7 @@
 """Tests for epoch-based adaptive execution (Section VI)."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,10 @@ from repro.engine import (
     reference_join,
     result_keys,
 )
+from repro.engine import statistics as statistics_module
+from repro.streams import generate_streams, tpch_specs
 
-ATTRS = {"R": ["a"], "S": ["a", "b"], "T": ["b", "c"], "U": ["c"]}
+ATTRS ={"R": ["a"], "S": ["a", "b"], "T": ["b", "c"], "U": ["c"]}
 
 
 def shifted_workload(seed=7, n=800, shift_at=8.0, shrunk_domain=3):
@@ -76,6 +79,42 @@ class TestEpochStatistics:
     def test_selectivity_none_without_data(self):
         stats = EpochStatistics(epoch=0)
         assert stats.selectivity(JoinPredicate.of("R.a", "S.a")) is None
+
+    def test_a_histogram_is_built_once_per_attribute(self, monkeypatch):
+        """``observe`` and ``merge`` build a histogram when its attribute
+        is first seen, not one per call to discard (``setdefault(attr,
+        Counter())`` did), and accumulate what a plain reference does."""
+        built = []
+
+        class CountingCounter(Counter):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(statistics_module, "Counter", CountingCounter)
+        _, feed = generate_streams(tpch_specs(300.0), 6.0, seed=3)
+        feed = feed[:1000]
+        assert len(feed) == 1000
+        attrs = {attr for tup in feed for attr in tup.values}
+
+        stats = EpochStatistics(epoch=0)
+        for tup in feed:
+            stats.observe(tup)
+        assert len(built) == len(attrs)
+        counts, histograms = Counter(), {}
+        for tup in feed:
+            counts[tup.trigger] += 1
+            for attr, value in tup.values.items():
+                histograms.setdefault(attr, Counter())[value] += 1
+        assert stats.counts == dict(counts)
+        assert stats.histograms == histograms
+
+        built.clear()
+        merged = EpochStatistics(epoch=0)
+        merged.merge(stats)
+        merged.merge(stats)
+        assert len(built) == len(attrs)
+        assert merged.histograms == {a: h + h for a, h in histograms.items()}
 
     def test_fold_into_keeps_base_for_unobserved(self):
         base = StatisticsCatalog(default_selectivity=0.3)

@@ -5,12 +5,18 @@ set over any workload equals the reference windowed join — for single- and
 multi-query topologies, with and without MIR stores, under any partitioning.
 """
 
+import hashlib
+import pickle
 import random
+import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import JoinSession
 from repro.core import (
     ClusterConfig,
     JoinPredicate,
@@ -19,14 +25,21 @@ from repro.core import (
     StatisticsCatalog,
     build_topology,
 )
+from repro.core.adaptive import diff_topologies
 from repro.core.optimizer import MultiQueryOptimizer
+from repro.core.topology import Topology
 from repro.engine import (
+    RewirableRuntime,
     RuntimeConfig,
+    ShardedRuntime,
     TopologyRuntime,
     input_tuple,
     reference_join,
     result_keys,
 )
+from repro.engine import runtime as runtime_module
+from repro.engine import stores as stores_module
+from repro.streams import five_query_workload, generate_streams, tpch_specs
 
 ATTRS = {"R": ["a"], "S": ["a", "b"], "T": ["b", "c"], "U": ["c"]}
 
@@ -211,3 +224,299 @@ class TestMetrics:
         rt.run(inputs)
         assert rt.metrics.failed
         assert "memory overflow" in rt.metrics.failure_reason
+
+
+# ----------------------------------------------------------------------
+# the compiled plan
+# ----------------------------------------------------------------------
+#: window of the TPC-H runs below (the pinned feed spans ~4 of them)
+TPCH_WINDOW = 5.0
+
+
+def tpch5_feed(inputs, seed=5):
+    """The first ``inputs`` tuples of the five-query TPC-H feed (~280/s)."""
+    queries = five_query_workload()
+    read = {rel for q in queries for rel in q.relations}
+    specs = [s for s in tpch_specs(300.0) if s.relation in read]
+    _, feed = generate_streams(specs, inputs / 270 + 1.0, seed=seed)
+    assert len(feed) >= inputs
+    return feed[:inputs]
+
+
+def tpch5_windows():
+    return {rel: TPCH_WINDOW for q in five_query_workload() for rel in q.relations}
+
+
+@lru_cache(maxsize=None)
+def tpch5_topology(parallelism):
+    """The plan a session deploys for the five TPC-H queries (the greedy
+    planner for the partitioned one: HiGHS takes seconds on that model)."""
+    session = JoinSession(
+        window=TPCH_WINDOW,
+        parallelism=parallelism,
+        solver="auto" if parallelism == 1 else "greedy",
+    )
+    for query in five_query_workload():
+        session.add_query(query)
+    session.start()
+    return session.topology
+
+
+def pinned_run(parallelism, **config):
+    """Run the feed; the flow counters and a digest of the emission order."""
+    emitted = []
+    runtime = TopologyRuntime(
+        tpch5_topology(parallelism),
+        tpch5_windows(),
+        RuntimeConfig(collect_outputs=False, **config),
+        sink=lambda query, result: emitted.append(f"{query} {result.key()}"),
+    )
+    runtime.run(tpch5_feed(6000))
+    m = runtime.metrics
+    return [
+        m.tuples_sent,
+        m.messages_sent,
+        m.probes_executed,
+        m.comparisons,
+        m.peak_stored_units,
+        m.results_emitted,
+        m.failed,
+        hashlib.sha256("\n".join(emitted).encode()).hexdigest()[:16],
+    ]
+
+
+#: (batch_size, parallelism) -> what :func:`pinned_run` returned before the
+#: plan was compiled, when every hop re-resolved its edge, rules, orientation
+#: and backend: tuples_sent, messages_sent, probes_executed, comparisons,
+#: peak_stored_units, results_emitted, failed, digest of the emission order.
+#: Neither the backend nor ``vectorized_cascades`` moves a value; the batch
+#: size moves the eviction cadence, hence comparisons and the peak.
+PINNED = {
+    (1, 1): [21695, 21695, 15597, 4982, 1783.0, 339, False, "0a1a4f48118cd23d"],
+    (1, 2): [26618, 26618, 19380, 4091, 2500.0, 339, False, "8b4d4b57fd08ae82"],
+    (64, 1): [21695, 21695, 15597, 4985, 1779.0, 339, False, "0a1a4f48118cd23d"],
+    (64, 2): [26618, 26618, 19380, 4098, 2499.0, 339, False, "8b4d4b57fd08ae82"],
+}
+
+#: the budgeted run: the memory path delivers each input on its own and
+#: fails mid-feed
+PINNED_MEMORY_LIMIT = 1067
+PINNED_MEMORY = [3195, 3195, 2131, 287, 1068.0, 7, True, "f8687c388522e328"]
+
+
+class TestCompiledPlan:
+    def test_pushing_resolves_no_rule_and_orients_no_predicate(self, monkeypatch):
+        """Every rule and equality key is resolved when the plan is
+        deployed: a push looks neither up."""
+        calls = Counter()
+        rules_for = Topology.rules_for
+        orient = stores_module.orient_predicates
+
+        def counting_rules_for(self, store_id, label):
+            calls["rules_for"] += 1
+            return rules_for(self, store_id, label)
+
+        def counting_orient(predicates, lineage):
+            calls["orient_predicates"] += 1
+            return orient(predicates, lineage)
+
+        monkeypatch.setattr(Topology, "rules_for", counting_rules_for)
+        # every module that bound it by name
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "orient_predicates", None)
+            if name.startswith("repro") and bound is orient:
+                monkeypatch.setattr(module, "orient_predicates", counting_orient)
+
+        runtime = TopologyRuntime(tpch5_topology(1), tpch5_windows())
+        # deploying compiles: the counters see it
+        assert calls["rules_for"] > 0 and calls["orient_predicates"] > 0
+        calls.clear()
+        for tup in tpch5_feed(2000):
+            runtime.process(tup)
+        runtime.flush()
+        assert runtime.metrics.results_emitted > 0
+        assert calls == Counter()
+        assert not hasattr(TopologyRuntime, "_send_logical")
+        assert not hasattr(TopologyRuntime, "_oriented_for")
+        assert not hasattr(runtime, "_oriented_cache")
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_counters_and_result_order_are_pinned(
+        self, batch_size, backend, vectorized, parallelism
+    ):
+        got = pinned_run(
+            parallelism,
+            batch_size=batch_size,
+            store_backend=backend,
+            vectorized_cascades=vectorized,
+        )
+        assert got == PINNED[(batch_size, parallelism)]
+
+    def test_memory_budget_run_is_pinned(self):
+        got = pinned_run(1, memory_limit_units=PINNED_MEMORY_LIMIT)
+        assert got == PINNED_MEMORY
+        assert got[6]  # the budget was exceeded
+
+
+# ----------------------------------------------------------------------
+# no stale bindings: the plan follows every replaced task list
+# ----------------------------------------------------------------------
+Q1 = Query.of("q1", "R.a=S.a", "S.b=T.b")
+Q2 = Query.of("q2", "S.b=T.b", "T.c=U.c")
+LIFECYCLE_WINDOWS = {r: 4.0 for r in "RSTU"}
+
+
+def plan_topology(queries, parallelism):
+    cfg = OptimizerConfig(
+        cluster=ClusterConfig(default_parallelism=parallelism)
+    )
+    cat = base_catalog(window=4.0)
+    res = MultiQueryOptimizer(cat, cfg, solver="scipy").optimize(list(queries))
+    return build_topology(res.plan, cat, cfg.cluster)
+
+
+def keys_from(results, ts):
+    """Result keys of the combinations completed at or after ``ts``."""
+    return result_keys([r for r in results if r.latest_ts >= ts])
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """Candidates checked by the runtime's probes, per container id."""
+    checked = Counter()
+    probe_batch = runtime_module.probe_batch
+
+    def recording(container, probes, *args):
+        results, count = probe_batch(container, probes, *args)
+        checked[id(container)] += count
+        return results, count
+
+    monkeypatch.setattr(runtime_module, "probe_batch", recording)
+    return checked
+
+
+@pytest.fixture
+def restored_containers(monkeypatch):
+    """Ids of the containers a snapshot restore builds."""
+    built = set()
+    load_container = stores_module.load_container
+
+    def recording(state):
+        container = load_container(state)
+        built.add(id(container))
+        return container
+
+    monkeypatch.setattr(stores_module, "load_container", recording)
+    return built
+
+
+def checked_on(probed, task_lists):
+    return sum(probed[id(task.container)] for tasks in task_lists for task in tasks)
+
+
+class TestNoStaleBindings:
+    def test_checkpoint_restore_then_push(self, probed, restored_containers):
+        streams, inputs = make_streams(21, 600)
+        topology = plan_topology([Q1, Q2], 1)
+        baseline = TopologyRuntime(topology, LIFECYCLE_WINDOWS)
+        baseline.run(inputs)
+
+        live = TopologyRuntime(topology, LIFECYCLE_WINDOWS)
+        live.run(inputs[:300])
+        state = pickle.loads(pickle.dumps(live.dump_state()))
+        restored = TopologyRuntime(topology, LIFECYCLE_WINDOWS)
+        restored.load_state(state)
+        probed.clear()
+        restored.run(inputs[300:])
+
+        for q in (Q1, Q2):
+            assert [r.key() for r in restored.results(q.name)] == [
+                r.key() for r in baseline.results(q.name)
+            ]
+            assert result_keys(restored.results(q.name)) == result_keys(
+                reference_join(q, streams, LIFECYCLE_WINDOWS)
+            )
+        assert sum(probed[c] for c in restored_containers) > 0
+
+    def test_add_query_then_remove_query(self, probed):
+        streams, inputs = make_streams(22, 900)
+        runtime = RewirableRuntime(plan_topology([Q1], 1), LIFECYCLE_WINDOWS)
+        runtime.run(inputs[:300])
+        added = runtime.install(
+            plan_topology([Q1, Q2], 1), now=inputs[299].trigger_ts
+        ).added_stores
+        probed.clear()
+        runtime.run(inputs[300:600])
+        assert added
+        assert checked_on(probed, [runtime.tasks[s] for s in added]) > 0
+        removed = runtime.install(
+            plan_topology([Q2], 1), now=inputs[599].trigger_ts
+        ).removed_stores
+        assert removed
+        runtime.run(inputs[600:])
+
+        tail = inputs[600].trigger_ts
+        uninterrupted = TopologyRuntime(plan_topology([Q2], 1), LIFECYCLE_WINDOWS)
+        uninterrupted.run(inputs)
+        got = keys_from(runtime.results("q2"), tail)
+        assert got
+        assert got == keys_from(uninterrupted.results("q2"), tail)
+        assert got == keys_from(reference_join(Q2, streams, LIFECYCLE_WINDOWS), tail)
+
+    def test_repartitioning_install(self, probed):
+        streams, inputs = make_streams(23, 600)
+        before, after = plan_topology([Q1], 2), plan_topology([Q1, Q2], 2)
+        repartitioned = diff_topologies(before, after).repartitioned
+        assert repartitioned
+        runtime = RewirableRuntime(before, LIFECYCLE_WINDOWS)
+        runtime.run(inputs[:300])
+        runtime.install(after, now=inputs[299].trigger_ts)
+        assert runtime.metrics.migrated_tuples > 0
+        probed.clear()
+        runtime.run(inputs[300:])
+
+        tail = inputs[300].trigger_ts
+        uninterrupted = TopologyRuntime(before, LIFECYCLE_WINDOWS)
+        uninterrupted.run(inputs)
+        got = keys_from(runtime.results("q1"), tail)
+        assert got
+        assert got == keys_from(uninterrupted.results("q1"), tail)
+        assert got == keys_from(reference_join(Q1, streams, LIFECYCLE_WINDOWS), tail)
+        assert checked_on(probed, [runtime.tasks[s] for s in repartitioned]) > 0
+
+    def test_sharded_restore(self, probed, restored_containers):
+        streams, inputs = make_streams(24, 600)
+        topology = plan_topology([Q1, Q2], 1)
+
+        def sharded():
+            return ShardedRuntime(
+                topology,
+                LIFECYCLE_WINDOWS,
+                RuntimeConfig(workers=2),
+                transport="inline",
+            )
+
+        baseline = sharded()
+        baseline.run(inputs)
+        live = sharded()
+        live.run(inputs[:300])
+        state = pickle.loads(pickle.dumps(live.dump_state()))
+        live.close()
+        restored = sharded()
+        restored.load_state(state)
+        probed.clear()
+        restored.run(inputs[300:])
+
+        for q in (Q1, Q2):
+            assert [r.key() for r in restored.results(q.name)] == [
+                r.key() for r in baseline.results(q.name)
+            ]
+            assert result_keys(restored.results(q.name)) == result_keys(
+                reference_join(q, streams, LIFECYCLE_WINDOWS)
+            )
+        assert sum(probed[c] for c in restored_containers) > 0
+        restored.close()
+        baseline.close()
