@@ -338,12 +338,13 @@ def bench_cascade(
     ``R.a=S.a AND S.b=T.b AND T.c=U.c`` over wide uniform windows: the two
     interior predicates draw from a small domain (plentiful intermediate
     matches), the final one from a huge domain (rare results), and every
-    tuple carries ``payload`` extra attributes so intermediate
-    materialization means wide dict merges.  This is the regime the
-    vectorized cascade exists for — the tuple-at-a-time path materializes
-    every intermediate match that then dies at the last hop, while the
-    VectorBatch carriage defers materialization to emission.  Both sides
-    run the columnar backend; only ``vectorized_cascades`` differs.
+    tuple carries ``payload`` extra attributes.  This is the regime the
+    vectorized cascade exists for — the tuple-at-a-time path merges every
+    interior match (a Python call, though it copies no dict) and probes
+    per tuple, while VectorBatch carriage narrows the probes sharing a key
+    together and merges only what is read, so an interior match that dies
+    at the last hop is never merged.  Both sides run the columnar backend;
+    only ``vectorized_cascades`` differs.
     """
     from repro.core import (
         ClusterConfig,

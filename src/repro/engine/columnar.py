@@ -63,6 +63,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
     cast,
 )
 
@@ -83,6 +84,10 @@ __all__ = ["ColumnarContainer", "ColumnBucket", "VectorBatch", "MIN_CAPACITY"]
 #: smallest per-bucket array allocation; doubles as the growth quantum for
 #: tiny buckets so chunked growth never degenerates into per-insert resizes
 MIN_CAPACITY = 64
+
+#: a vectorized probe narrows a group of probes sharing a key against its
+#: candidates in blocks of about this many (probe, candidate) pairs
+_MASK_PAIRS = 1 << 16
 
 #: the combined code of a multi-attribute key is a polynomial hash of the
 #: per-attribute codes, kept non-negative in an int64.  Masking the low bits
@@ -123,6 +128,11 @@ def _combine_columns(columns: Sequence[IntArray]) -> IntArray:
     return combined
 
 
+def _joined(parts: Sequence[npt.NDArray[Any]]) -> npt.NDArray[Any]:
+    """``np.concatenate(parts)``, without a copy for a single part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _array_bytes(arr: npt.NDArray[Any]) -> bytes:
     """Serialize an array to raw ``.npy`` bytes (``np.save`` format)."""
     buf = io.BytesIO()
@@ -137,51 +147,69 @@ def _array_from(data: bytes) -> npt.NDArray[Any]:
 
 
 class VectorBatch:
-    """A micro-batch travelling hop-to-hop in vectorized (unmaterialized) form.
+    """A micro-batch travelling hop-to-hop on the vectorized probe path.
 
-    The tuple-at-a-time cascade materializes a merged :class:`StreamTuple`
-    (two dict unions) for *every* intermediate match, even those that die at
-    the next hop.  A :class:`VectorBatch` defers that work: each element is a
-    *component chain* — the probe's original parts plus one stored row per
-    survived hop — alongside numpy columns for exactly the per-element
-    scalars the next hop needs (``trigger_ts`` / ``latest_ts`` /
-    ``earliest_ts`` / ``seq``).  Chains share their common prefix
-    structurally, so carrying a survivor costs one tuple concatenation and
-    four array slots instead of two dict unions.
+    A batch lifted from tuples (:meth:`from_tuples`) holds them as its
+    rows.  A batch of probe survivors holds references instead: per
+    element, the position of its probe in the batch that probed
+    (``source``) and the position of its stored partner among the hop's
+    candidate rows — the two parents a merge would link
+    (:mod:`repro.engine.tuples`), one level up.  Beside them sit numpy
+    columns for exactly the per-element scalars the next hop reads
+    (``trigger_ts`` / ``latest_ts`` / ``earliest_ts`` / ``seq``), computed
+    from the probe and bucket columns.
 
-    :meth:`materialize` folds each chain left-to-right through
-    :meth:`StreamTuple.merge`, reproducing the tuple path's results exactly
-    (same trigger, same last-writer-wins value union, same timestamp extrema
-    and max-``seq``); the fold is cached so emission and store boundaries
-    within one hop share it.
+    :meth:`materialize` merges an element when it is read — emission, a
+    store insert, routing, a python-backend probe — once, and only the
+    source elements it needs, so a survivor that dies at a later vector
+    hop is never merged: carrying it costs two list slots where a merge is
+    a Python call.  The merged rows equal the tuple path's: the same
+    left-to-right merges, so the same trigger, ``values`` union, timestamp
+    extrema and max-``seq``.
+
+    Every element of a batch has the same lineage (one ingest relation and
+    one container per hop), which :meth:`values_of` relies on.
     """
 
     __slots__ = (
-        "chains",
         "trigger",
         "latest",
         "earliest",
         "seq",
         "lineage",
         "_rows",
+        "_source",
+        "_probe_pos",
+        "_partners",
+        "_partner_pos",
+        "_merged",
     )
 
     def __init__(
         self,
-        chains: List[Tuple[StreamTuple, ...]],
         trigger: FloatArray,
         latest: FloatArray,
         earliest: FloatArray,
         seq: IntArray,
         lineage: FrozenSet[str],
+        rows: Optional[List[StreamTuple]] = None,
+        source: Optional["VectorBatch"] = None,
+        probe_pos: Sequence[int] = (),
+        partners: Sequence[StreamTuple] = (),
+        partner_pos: Sequence[int] = (),
     ) -> None:
-        self.chains = chains
         self.trigger = trigger
         self.latest = latest
         self.earliest = earliest
         self.seq = seq
         self.lineage = lineage
-        self._rows: Optional[List[StreamTuple]] = None
+        self._rows = rows
+        self._source = source
+        self._probe_pos = probe_pos
+        self._partners = partners
+        self._partner_pos = partner_pos
+        #: elements merged so far by a partial read, by position
+        self._merged: Optional[Dict[int, StreamTuple]] = None
 
     @classmethod
     def from_tuples(cls, tups: Sequence[StreamTuple]) -> "VectorBatch":
@@ -191,51 +219,80 @@ class VectorBatch:
         latest = np.empty(n, dtype=np.float64)
         earliest = np.empty(n, dtype=np.float64)
         seq = np.empty(n, dtype=np.int64)
-        chains: List[Tuple[StreamTuple, ...]] = []
         for pos, tup in enumerate(tups):
             trigger[pos] = tup.trigger_ts
             latest[pos] = tup.latest_ts
             earliest[pos] = tup.earliest_ts
             seq[pos] = tup.seq
-            chains.append((tup,))
-        batch = cls(chains, trigger, latest, earliest, seq, tups[0].lineage)
-        # single-part chains materialize to the inputs themselves
-        batch._rows = list(tups)
-        return batch
+        return cls(trigger, latest, earliest, seq, tups[0].lineage, list(tups))
 
     def __len__(self) -> int:
-        return len(self.chains)
-
-    def values_of(self, attr: str) -> List[object]:
-        """Per-element value of a qualified attribute (``None`` if absent).
-
-        Chains have pairwise-disjoint part lineages, so a qualified
-        attribute lives in at most one part; scanning parts last-to-first
-        reproduces the merged dict union's last-writer-wins ``.get`` exactly
-        (including explicit ``None`` values, which are joinable keys).
-        """
-        out: List[object] = []
-        for chain in self.chains:
-            value = None
-            for part in reversed(chain):
-                if attr in part.values:
-                    value = part.values[attr]
-                    break
-            out.append(value)
-        return out
+        return len(self.trigger)
 
     def materialize(self) -> List[StreamTuple]:
-        """Fold every chain into a concrete :class:`StreamTuple` (cached)."""
+        """The elements as merged tuples (merged on first call, cached)."""
         rows = self._rows
         if rows is None:
-            rows = []
-            for chain in self.chains:
-                tup = chain[0]
-                for part in chain[1:]:
-                    tup = tup.merge(part)
-                rows.append(tup)
+            probes = cast(VectorBatch, self._source)._rows
+            if probes is None or self._merged:
+                rows = self._rows_at(range(len(self)))
+            else:
+                partners = self._partners
+                rows = [
+                    probes[pos].merge(partners[partner])
+                    for pos, partner in zip(self._probe_pos, self._partner_pos)
+                ]
             self._rows = rows
+            self._merged = None
         return rows
+
+    def _rows_at(self, positions: Sequence[int]) -> List[StreamTuple]:
+        """The merged tuples at ``positions``, each element merged once —
+        its probe taken from the source batch the same way — so a read
+        merges no element it does not return."""
+        rows = self._rows
+        if rows is not None:
+            return [rows[pos] for pos in positions]
+        merged = self._merged
+        if merged is None:
+            merged = self._merged = {}
+        missing = [pos for pos in dict.fromkeys(positions) if pos not in merged]
+        if missing:
+            probe_pos, partners, partner_pos = (
+                self._probe_pos,
+                self._partners,
+                self._partner_pos,
+            )
+            probes = cast(VectorBatch, self._source)._rows_at(
+                [probe_pos[pos] for pos in missing]
+            )
+            for pos, probe in zip(missing, probes):
+                merged[pos] = probe.merge(partners[partner_pos[pos]])
+        return [merged[pos] for pos in positions]
+
+    def values_of(self, attr: str) -> List[object]:
+        """Per-element value of a qualified attribute (``None`` if absent),
+        read off the component holding the attribute's relation (the part
+        of the name before the first ``.``) without merging anything."""
+        rows = self._rows
+        if rows is not None:
+            # a built row answers from its dict, an unbuilt one walks
+            return [
+                row.get(attr) if (built := row._values) is None else built.get(attr)
+                for row in rows
+            ]
+        source = cast(VectorBatch, self._source)
+        relation = attr.split(".", 1)[0]
+        if relation in source.lineage:
+            values = source.values_of(attr)
+            positions = self._probe_pos
+        elif relation in self.lineage:
+            values = [row.get(attr) for row in self._partners]
+            positions = self._partner_pos
+        else:
+            # an attribute of no component relation: as the merged rows say
+            return [row.get(attr) for row in self.materialize()]
+        return [values[pos] for pos in positions]
 
 
 class ColumnBucket:
@@ -677,7 +734,7 @@ class ColumnarContainer:
         if key:
             codes, verify = self._key_codes(
                 oriented,
-                [[p.values.get(attr) for p in probes] for attr in probe_attrs],
+                [[p.get(attr) for p in probes] for attr in probe_attrs],
             )
         buckets = [b for _, b in sorted(self._buckets.items()) if b.size]
         for j, probe in enumerate(probes):
@@ -731,15 +788,18 @@ class ColumnarContainer:
 
         Semantically identical to :meth:`probe_batch` over
         ``batch.materialize()`` — same ``checked`` count (rows equal on the
-        whole key), same bucket skipping, same arrival-visibility and
-        uniform-window narrowing, same probe-major / bucket-major /
-        row-ascending result order — but survivors stay unmaterialized:
-        each match extends its probe's component chain by the stored row
-        and gathers the merged scalars (``max`` latest / ``min`` earliest /
-        ``max`` seq, probe's trigger) straight from the bucket columns.
+        whole key), same arrival-visibility and uniform-window narrowing,
+        same probe-major / bucket-major / row-ascending result order, equal
+        merged tuples — but batch-at-a-time: the probes sharing a whole key share its
+        candidate rows, gathered once from the buckets whose presence sets
+        hold the key, and each such group is narrowed as one
+        probes x candidates mask.  Survivors are not merged: the returned
+        batch references its probes and partners (:class:`VectorBatch`),
+        with the merged scalars (``max`` latest / ``min`` earliest /
+        ``max`` seq, probe's trigger) computed from the columns.
 
         Only the uniform-window regime is supported; the runtime falls back
-        to the materializing path otherwise.  Returns ``(None, checked)``
+        to :meth:`probe_batch` otherwise.  Returns ``(None, checked)``
         when no row survives, without activating any lazy column on an
         empty store.
         """
@@ -747,95 +807,118 @@ class ColumnarContainer:
         if not self._count or not len(batch):
             return None, checked
         probe_attrs, stored_attrs, key = oriented
+        # probe positions per whole key (code and verify codes), in batch
+        # order: the probes of one group have the same candidates
+        groups: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         if key:
             codes, verify = self._key_codes(
                 oriented, [batch.values_of(attr) for attr in probe_attrs]
             )
-        buckets = [b for _, b in sorted(self._buckets.items()) if b.size]
-        chains = batch.chains
-        trig_col = batch.trigger
-        lat_col = batch.latest
-        ear_col = batch.earliest
-        seq_col = batch.seq
-        out_chains: List[Tuple[StreamTuple, ...]] = []
-        # Per-segment raw slices plus the probe-side scalars; the merged
-        # columns are computed once at batch assembly (np.repeat of the
-        # scalars against the concatenated slices) rather than with four
-        # numpy calls on each tiny segment.
-        seg_latest: List[FloatArray] = []
-        seg_earliest: List[FloatArray] = []
-        seg_seq: List[IntArray] = []
-        seg_counts: List[int] = []
-        seg_trig_s: List[float] = []
-        seg_lat_s: List[float] = []
-        seg_ear_s: List[float] = []
-        seg_seq_s: List[int] = []
-        for j in range(len(chains)):
-            if key:
-                code = codes[j]
+            for pos, code in enumerate(codes):
                 if code is None:
                     # value never stored: empty index lookup, 0 checked
                     continue
-            t_trig = trig_col[j]
-            t_lat = lat_col[j]
-            t_ear = ear_col[j]
-            t_seq = seq_col[j]
-            chain = chains[j]
+                group = (code, verify[pos])
+                members = groups.get(group)
+                if members is None:
+                    groups[group] = [pos]
+                else:
+                    members.append(pos)
+        else:
+            groups[(-1, ())] = list(range(len(batch)))
+        buckets = [b for _, b in sorted(self._buckets.items()) if b.size]
+        partners: List[StreamTuple] = []
+        cand_latest: List[FloatArray] = []
+        cand_earliest: List[FloatArray] = []
+        cand_seq: List[IntArray] = []
+        out_probe: List[IntArray] = []
+        out_partner: List[IntArray] = []
+        probe_cols: Optional[Tuple[npt.NDArray[Any], ...]] = None
+        for (code, verify_codes), members in groups.items():
+            hits: List[Tuple[ColumnBucket, IntArray]] = []
             for bucket in buckets:
                 if key:
                     if code not in bucket.present[key]:
                         continue
-                    idx = bucket.candidates(key, code, stored_attrs, verify[j])
+                    idx = bucket.candidates(key, code, stored_attrs, verify_codes)
+                    if not len(idx):
+                        continue
                 else:
                     idx = np.arange(bucket.size)
-                checked += len(idx)
-                if not len(idx):
-                    continue
-                b_seq = bucket.seq
-                if seq_visibility:
-                    idx = idx[b_seq[idx] < t_seq]
-                else:
-                    idx = idx[bucket.latest[idx] < t_trig]
-                if not len(idx):
-                    continue
-                s_lat = bucket.latest[idx]
-                s_ear = bucket.earliest[idx]
-                keep = (t_lat - s_ear <= uniform_window) & (
-                    s_lat - t_ear <= uniform_window
+                hits.append((bucket, idx))
+            if not hits:
+                continue
+            if probe_cols is None:
+                # the probe columns as (n, 1) views: a block of probes
+                # gathers a column of them to hold against its candidates
+                probe_cols = (
+                    (batch.seq if seq_visibility else batch.trigger)[:, None],
+                    batch.latest[:, None],
+                    batch.earliest[:, None],
                 )
-                idx = idx[keep]
-                n = len(idx)
-                if not n:
-                    continue
-                rows = bucket.rows
-                out_chains.extend(chain + (rows[i],) for i in idx.tolist())
-                seg_latest.append(s_lat[keep])
-                seg_earliest.append(s_ear[keep])
-                seg_seq.append(b_seq[idx])
-                seg_counts.append(n)
-                seg_trig_s.append(t_trig)
-                seg_lat_s.append(t_lat)
-                seg_ear_s.append(t_ear)
-                seg_seq_s.append(t_seq)
-        if not out_chains:
+            probe_vis, probe_lat, probe_ear = probe_cols
+            c_lat = _joined([b.latest[idx] for b, idx in hits])
+            c_ear = _joined([b.earliest[idx] for b, idx in hits])
+            c_seq = _joined([b.seq[idx] for b, idx in hits])
+            c_vis = c_seq if seq_visibility else c_lat
+            n_cand = len(c_lat)
+            checked += n_cand * len(members)
+            offset = len(partners)
+            survived = False
+            if len(members) == 1:
+                # a lone probe: a basic slice keeps its columns views
+                first = members[0]
+                blocks: List[Union[slice, IntArray]] = [slice(first, first + 1)]
+            else:
+                # blocks of probes bound the mask at ~_MASK_PAIRS entries
+                probe_pos = np.asarray(members, dtype=np.int64)
+                step = max(1, _MASK_PAIRS // n_cand)
+                blocks = [
+                    probe_pos[start : start + step]
+                    for start in range(0, len(members), step)
+                ]
+            for block in blocks:
+                keep = c_vis < probe_vis[block]
+                keep &= probe_lat[block] - c_ear <= uniform_window
+                keep &= c_lat - probe_ear[block] <= uniform_window
+                rows_hit, cols_hit = np.nonzero(keep)
+                if len(cols_hit):
+                    survived = True
+                    out_probe.append(
+                        rows_hit + first
+                        if isinstance(block, slice)
+                        else block[rows_hit]
+                    )
+                    out_partner.append(cols_hit + offset)
+            if survived:
+                for bucket, idx in hits:
+                    rows = bucket.rows
+                    partners.extend([rows[i] for i in idx.tolist()])
+                cand_latest.append(c_lat)
+                cand_earliest.append(c_ear)
+                cand_seq.append(c_seq)
+        if not out_probe:
             return None, checked
-        counts = np.asarray(seg_counts)
+        probe_all = _joined(out_probe)
+        partner_all = _joined(out_partner)
+        if len(cand_latest) > 1:
+            # groups interleave in batch order: probe-major, and within a
+            # probe the candidates keep their bucket / row order
+            order = np.argsort(probe_all, kind="stable")
+            probe_all = probe_all[order]
+            partner_all = partner_all[order]
         out = VectorBatch(
-            out_chains,
-            np.repeat(np.asarray(seg_trig_s, dtype=np.float64), counts),
-            np.maximum(
-                np.concatenate(seg_latest),
-                np.repeat(np.asarray(seg_lat_s, dtype=np.float64), counts),
-            ),
+            batch.trigger[probe_all],
+            np.maximum(batch.latest[probe_all], _joined(cand_latest)[partner_all]),
             np.minimum(
-                np.concatenate(seg_earliest),
-                np.repeat(np.asarray(seg_ear_s, dtype=np.float64), counts),
+                batch.earliest[probe_all], _joined(cand_earliest)[partner_all]
             ),
-            np.maximum(
-                np.concatenate(seg_seq),
-                np.repeat(np.asarray(seg_seq_s), counts),
-            ),
-            batch.lineage | out_chains[0][-1].lineage,
+            np.maximum(batch.seq[probe_all], _joined(cand_seq)[partner_all]),
+            batch.lineage | partners[0].lineage,
+            source=batch,
+            probe_pos=probe_all.tolist(),
+            partners=partners,
+            partner_pos=partner_all.tolist(),
         )
         return out, checked
 

@@ -81,7 +81,12 @@ class EngineMetrics:
     # ------------------------------------------------------------------
     def on_input(self, arrival_ts: float) -> None:
         self.inputs_ingested += 1
-        if self.first_arrival is None or arrival_ts < self.first_arrival:
+        if self.first_arrival is None:
+            # the first input starts the completion clock too: from the
+            # 0.0 default, a feed at negative event times would end at 0.0
+            self.first_arrival = self.last_completion = arrival_ts
+            return
+        if arrival_ts < self.first_arrival:
             self.first_arrival = arrival_ts
         self.last_completion = max(self.last_completion, arrival_ts)
 

@@ -130,7 +130,7 @@ def compute_backfill(
                 index.setdefault(key, []).append((pos, stored))
         extended = []
         for probe, picks in partials:
-            key = tuple([probe.values.get(attr) for attr in hop.probe_attrs])
+            key = tuple([probe.get(attr) for attr in hop.probe_attrs])
             for pick in index.get(key, ()):
                 if probe.within_windows(pick[1], windows):
                     extended.append((probe.merge(pick[1]), picks + (pick,)))

@@ -31,6 +31,12 @@ Hot-path design (see docs/engine.md):
   batching — is what keeps the per-input cost down.
 * When every relation shares one window length, the pairwise window check
   collapses to an O(1) comparison of precomputed timestamp extrema.
+* A probe survivor is a merged :class:`~repro.engine.tuples.StreamTuple`
+  that references its two parents: no dict is copied per hop, and
+  ``values`` / ``timestamps`` are built only where something reads them
+  (a store insert, a subscriber; a snapshot builds them without keeping
+  them).  On the vector path a survivor is not even merged until it is
+  read (:class:`~repro.engine.columnar.VectorBatch`).
 
 Out-of-order arrivals (watermark mode): setting
 ``RuntimeConfig.disorder_bound`` declares that event timestamps within each

@@ -629,13 +629,15 @@ def probe_batch(
     else:
         candidates = container.tuples
     for probe in probes:
+        # a merged probe's values dict is unbuilt: ``get`` reads its parents
+        values = probe._values
         if single is not None:
-            candidates = index.get(probe.values.get(single))
-        elif key:
-            probe_values = probe.values
             candidates = index.get(
-                tuple([probe_values.get(attr) for attr in probe_attrs])
+                probe.get(single) if values is None else values.get(single)
             )
+        elif key:
+            get = probe.get if values is None else values.get
+            candidates = index.get(tuple([get(attr) for attr in probe_attrs]))
         if not candidates:
             continue
         trigger_ts = probe.trigger_ts

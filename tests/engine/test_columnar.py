@@ -36,6 +36,7 @@ PREDS = (JoinPredicate.of("R.a", "S.a"),)
 PREDS2 = (JoinPredicate.of("R.a", "S.a"), JoinPredicate.of("R.b", "S.b"))
 ORIENTED = orient_predicates(PREDS, {"R"})
 ORIENTED2 = orient_predicates(PREDS2, {"R"})
+NO_KEY = orient_predicates((), {"R"})
 WINDOWS = {"R": 10.0, "S": 10.0}
 
 
@@ -309,6 +310,111 @@ class TestVectorBatch:
         got = [] if vb is None else vb.materialize()
         assert c1 == c2
         assert [g.key() for g in got] == [e.key() for e in expected]
+
+    @pytest.mark.parametrize("mask_pairs", [1 << 16, 5])
+    @pytest.mark.parametrize(
+        "oriented", [ORIENTED, ORIENTED2, NO_KEY], ids=["one", "two", "none"]
+    )
+    def test_grouped_probe_parity(self, oriented, mask_pairs, monkeypatch):
+        """Probes sharing a key are narrowed together against its
+        candidates, in blocks of any size: results, order, ``checked`` and
+        the carried scalar columns equal the tuple path's."""
+        from repro.engine import columnar
+        from repro.engine.columnar import VectorBatch
+
+        monkeypatch.setattr(columnar, "_MASK_PAIRS", mask_pairs)
+        rng = random.Random(7)
+        cont = ColumnarContainer(bucket_width=1.0)
+        t = 0.0
+        for i in range(150):
+            t += rng.random() * 0.05
+            cont.insert(
+                s_tuple(t, a=rng.randrange(3), b=rng.randrange(3), seq=i + 1)
+            )
+        probes = []
+        for _ in range(60):
+            # a and b = 3 were never stored: those probes match nothing
+            p = input_tuple(
+                "R",
+                rng.uniform(0.5, t + 1.0),
+                {"a": rng.randrange(4), "b": rng.randrange(4)},
+            )
+            p.seq = rng.randrange(1, 170)
+            probes.append(p)
+        for seq_visibility in (False, True):
+            expected, c1 = probe_batch(
+                cont,
+                tuple(probes),
+                oriented,
+                {"R": 2.0, "S": 2.0},
+                2.0,
+                seq_visibility,
+            )
+            vb, c2 = cont.probe_batch_vector(
+                VectorBatch.from_tuples(probes), oriented, 2.0, seq_visibility
+            )
+            assert expected and vb is not None
+            got = vb.materialize()
+            assert c1 == c2
+            assert [g.key() for g in got] == [e.key() for e in expected]
+            assert vb.trigger.tolist() == [e.trigger_ts for e in expected]
+            assert vb.latest.tolist() == [e.latest_ts for e in expected]
+            assert vb.earliest.tolist() == [e.earliest_ts for e in expected]
+            assert vb.seq.tolist() == [e.seq for e in expected]
+
+    def test_two_hops_merge_only_what_is_read(self, monkeypatch):
+        """A survivor of a vector hop is merged when it is read, once, and
+        an earlier hop's survivor only if a read needs it: the interior
+        survivors that die at the next hop are never merged.  Values are
+        read off the components without merging anything."""
+        from repro.engine.columnar import VectorBatch
+        from repro.engine.tuples import StreamTuple
+
+        rng = random.Random(3)
+        s_store = ColumnarContainer(bucket_width=1.0)
+        t_store = ColumnarContainer(bucket_width=1.0)
+        for i in range(120):
+            ts = i * 0.02
+            s_store.insert(s_tuple(ts, a=rng.randrange(3), b=rng.randrange(4)))
+            t_store.insert(
+                input_tuple("T", ts, {"b": rng.randrange(2, 10), "c": rng.randrange(5)})
+            )
+        probes = [
+            input_tuple("R", 2.5 + i * 0.01, {"a": rng.randrange(3)}) for i in range(8)
+        ]
+        to_t = orient_predicates((JoinPredicate.of("S.b", "T.b"),), {"R", "S"})
+        windows = {"R": 5.0, "S": 5.0, "T": 5.0}
+        hop1, c1 = probe_batch(s_store, tuple(probes), ORIENTED, windows, 5.0)
+        hop2, c2 = probe_batch(t_store, tuple(hop1), to_t, windows, 5.0)
+
+        merges = []
+        real_merge = StreamTuple.merge
+
+        def counting_merge(self, other):
+            merges.append(1)
+            return real_merge(self, other)
+
+        monkeypatch.setattr(StreamTuple, "merge", counting_merge)
+        v1, d1 = s_store.probe_batch_vector(
+            VectorBatch.from_tuples(probes), ORIENTED, 5.0
+        )
+        v2, d2 = t_store.probe_batch_vector(v1, to_t, 5.0)
+        assert (d1, d2) == (c1, c2)
+        assert len(v1) == len(hop1) and len(v2) == len(hop2)
+        for attr in ("R.a", "S.a", "S.b", "T.b", "T.c", "T.zz"):
+            assert v2.values_of(attr) == [e.get(attr) for e in hop2]
+        assert not merges
+        rows2 = v2.materialize()
+        assert [g.key() for g in rows2] == [e.key() for e in hop2]
+        needed = len(set(v2._probe_pos))
+        assert 0 < needed < len(v1)  # some hop-1 survivors died at hop 2
+        assert len(merges) == len(v2) + needed
+        rows1 = v1.materialize()  # merges only the rest of hop 1
+        assert [g.key() for g in rows1] == [e.key() for e in hop1]
+        assert len(merges) == len(v2) + len(v1)
+        assert v2.materialize() is rows2 and len(merges) == len(v2) + len(v1)
+        # a name of no component relation is answered by the merged rows
+        assert v2.values_of("Q.a") == [None] * len(v2)
 
     def test_empty_vector_probe_builds_no_columns(self):
         """Zero-survivor guard: probing an empty store must not activate

@@ -73,6 +73,28 @@ def basic_session(**kwargs):
     )
 
 
+class TestSessionMetrics:
+    def test_makespan_of_a_feed_at_negative_event_times(self):
+        """The completion clock started at 0.0 instead of at the first
+        input, so R@-10, S@-5 reported a makespan of 10 and a throughput
+        of 0.2 — in ``summary()`` and so in the wire ``stats`` op too."""
+        session = basic_session()
+        session.push("R", {"a": 1}, ts=-10.0)
+        session.push("S", {"a": 1, "b": 1}, ts=-5.0)
+        session.flush()
+        metrics = session.metrics
+        assert metrics.makespan == 5.0
+        assert metrics.throughput == 0.4
+        assert metrics.summary()["throughput"] == 0.4
+
+    def test_a_single_input_has_no_makespan(self):
+        session = basic_session()
+        session.push("R", {"a": 1}, ts=-3.0)
+        session.flush()
+        assert session.metrics.makespan == 0.0
+        assert session.metrics.throughput == 0.0
+
+
 class TestSessionErrors:
     """Every misuse raises a precise, typed, documented exception."""
 
