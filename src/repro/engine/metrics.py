@@ -1,20 +1,22 @@
-"""Execution metrics collected by the simulated engine.
+"""Execution metrics collected by the engine.
 
 The paper's headline measurements map to:
 
 * ``tuples_sent`` — the probe cost, the very objective the ILP minimizes
   (Section III: "We call the number of tuples sent the probe cost").
 * ``throughput`` — processed input tuples / makespan (Section VII.A).
-* ``latencies`` — per result, completion time − trigger arrival time.
 * ``peak_stored_units`` — peak Σ (stored tuples × width), the memory proxy.
+
+Nothing here grows per result: in the push engine a result completes at
+its trigger instant, so a latency would always be 0.  End-to-end latency
+is measured where it exists, by the timed simulator's
+:class:`~repro.experiments.timed.TimedMetrics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.adaptive import DecisionRecord
@@ -33,10 +35,6 @@ class EngineMetrics:
     comparisons: int = 0
     results_emitted: int = 0
     results_per_query: Dict[str, int] = field(default_factory=dict)
-    latencies: List[float] = field(default_factory=list)
-    latency_samples: List[Tuple[float, float]] = field(
-        default_factory=list
-    )  # (time, latency)
     stored_units: float = 0.0
     peak_stored_units: float = 0.0
     migrated_tuples: int = 0
@@ -108,13 +106,14 @@ class EngineMetrics:
         self.probes_executed += probes
         self.comparisons += candidates_checked
 
-    def on_result(self, query: str, completion_ts: float, trigger_ts: float) -> None:
-        self.results_emitted += 1
-        self.results_per_query[query] = self.results_per_query.get(query, 0) + 1
-        latency = completion_ts - trigger_ts
-        self.latencies.append(latency)
-        self.latency_samples.append((completion_ts, latency))
-        self.last_completion = max(self.last_completion, completion_ts)
+    def on_result(self, query: str, count: int) -> None:
+        """``count`` results of ``query`` were emitted (one call per batch).
+
+        Completion needs no update: every component of a result went
+        through :meth:`on_input`, so ``last_completion`` already bounds it.
+        """
+        self.results_emitted += count
+        self.results_per_query[query] = self.results_per_query.get(query, 0) + count
 
     def on_completion(self, completion_ts: float) -> None:
         """Work finished at ``completion_ts`` without emitting a result
@@ -184,33 +183,12 @@ class EngineMetrics:
         span = self.makespan
         return self.inputs_ingested / span if span > 0 else 0.0
 
-    @property
-    def mean_latency(self) -> float:
-        return float(np.mean(self.latencies)) if self.latencies else 0.0
-
-    @property
-    def p95_latency(self) -> float:
-        return float(np.percentile(self.latencies, 95)) if self.latencies else 0.0
-
-    def latency_timeline(self, bucket: float) -> List[Tuple[float, float]]:
-        """(bucket_start, mean latency) series for Fig. 8-style plots."""
-        if not self.latency_samples:
-            return []
-        buckets: Dict[int, List[float]] = {}
-        for ts, latency in self.latency_samples:
-            buckets.setdefault(int(ts // bucket), []).append(latency)
-        return [
-            (idx * bucket, float(np.mean(vals)))
-            for idx, vals in sorted(buckets.items())
-        ]
-
     def summary(self) -> Dict[str, float]:
         return {
             "inputs": float(self.inputs_ingested),
             "tuples_sent": float(self.tuples_sent),
             "results": float(self.results_emitted),
             "throughput": self.throughput,
-            "mean_latency": self.mean_latency,
             "peak_stored_units": self.peak_stored_units,
             "failed": float(self.failed),
         }

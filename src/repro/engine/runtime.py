@@ -245,9 +245,11 @@ class Runtime:
     ``stored_tuples_total`` / ``dump_state`` / ``load_state``, and
     ``install`` where the topology can be replaced mid-stream.
 
-    ``sink(query, result)``, when given, receives every emitted result
+    ``sink(query, results)``, when given, receives every emitted batch
     after it was counted and collected — how a session reaches its
-    subscribers and a shard worker logs emissions for its driver.
+    subscribers and a shard worker logs emissions for its driver.  The
+    sequence may be the payload a cascade goes on with: a sink reads it
+    during the call and keeps no reference to it.
     """
 
     def __init__(
@@ -255,7 +257,7 @@ class Runtime:
         topology: Topology,
         windows: Dict[str, float],
         config: RuntimeConfig,
-        sink: Optional[Callable[[str, StreamTuple], None]] = None,
+        sink: Optional[Callable[[str, Sequence[StreamTuple]], None]] = None,
     ) -> None:
         self.topology = topology
         self.windows = dict(windows)
@@ -357,15 +359,17 @@ class Runtime:
             raise
         return True
 
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        self.metrics.on_result(query, completion_ts, result.trigger_ts)
+    def _emit(self, query: str, results: Sequence[StreamTuple]) -> None:
+        """Count, collect and deliver a batch of ``query``'s results, in
+        order (``results`` is copied into ``outputs``, never kept)."""
+        self.metrics.on_result(query, len(results))
         if self.config.collect_outputs:
             collected = self.outputs.get(query)
             if collected is None:
                 collected = self.outputs[query] = []
-            collected.append(result)
+            collected.extend(results)
         if self._sink is not None:
-            self._sink(query, result)
+            self._sink(query, results)
 
     def __enter__(self: _R) -> _R:
         return self
@@ -382,7 +386,7 @@ class TopologyRuntime(Runtime):
         topology: Topology,
         windows: Dict[str, float],
         config: Optional[RuntimeConfig] = None,
-        sink: Optional[Callable[[str, StreamTuple], None]] = None,
+        sink: Optional[Callable[[str, Sequence[StreamTuple]], None]] = None,
     ) -> None:
         super().__init__(topology, windows, config or RuntimeConfig(), sink)
         if self.config.workers > 1:
@@ -652,8 +656,9 @@ class TopologyRuntime(Runtime):
         unrouted hop; per-tuple routing, storage, python-backend probes and
         emission materialize — with identical results, order, and metrics
         either way.  Order: tasks in first-routed order, then rules in
-        ruleset order, emissions as they occur, child hops last in the
-        order their first survivors appeared.
+        ruleset order, one emission per rule and output query (its
+        survivors in probe order), child hops last in the order their
+        first survivors appeared.
         """
         # the counters of on_send / on_store / on_probe_batch are added
         # inline: this loop runs ~4 times per input
@@ -712,10 +717,7 @@ class TopologyRuntime(Runtime):
                 if outputs:
                     emitted = _rows(matches)
                     for query in outputs:
-                        for match in emitted:
-                            # logical completion is the triggering instant
-                            # itself (latency 0, as unbatched)
-                            self._emit(query, match, match.trigger_ts)
+                        self._emit(query, emitted)
                 if not gather:
                     # the hop's only task and rule: nothing runs between
                     # this rule and its children

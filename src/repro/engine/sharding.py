@@ -69,8 +69,10 @@ import time
 import traceback
 import weakref
 from dataclasses import replace
+from itertools import groupby
 from multiprocessing.connection import Connection
 from multiprocessing.context import BaseContext
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -419,7 +421,7 @@ class _WorkerState:
         runtime.metrics.stored_units = width
         runtime.metrics.peak_stored_units = width
 
-    def _log_emission(self, query: str, result: StreamTuple) -> None:
+    def _log_emission(self, query: str, results: Sequence[StreamTuple]) -> None:
         """The worker runtime's sink: log what the driver will merge.
 
         All-broadcast results materialize identically on every shard;
@@ -429,9 +431,10 @@ class _WorkerState:
         is harmless: the driver never folds that counter (``_FLOW_FIELDS``)
         and counts results itself as it merges the logs.
         """
-        if self.shard and not (result.lineage & self.router.partitioned):
-            return
-        self.emission_log.append((query, result))
+        if self.shard:
+            partitioned = self.router.partitioned
+            results = [result for result in results if result.lineage & partitioned]
+        self.emission_log.extend([(query, result) for result in results])
 
     # ------------------------------------------------------------------
     def handle(self, msg: _Msg) -> Optional[_Msg]:
@@ -729,7 +732,7 @@ class ShardedRuntime(Runtime):
         config: Optional[RuntimeConfig] = None,
         transport: str = "process",
         stats_sink: Optional[Callable[[EpochStatistics], None]] = None,
-        sink: Optional[Callable[[str, StreamTuple], None]] = None,
+        sink: Optional[Callable[[str, Sequence[StreamTuple]], None]] = None,
     ) -> None:
         """``stats_sink`` enables shard-side statistics fold-back: each
         worker observes its accepted inputs into an
@@ -857,8 +860,9 @@ class ShardedRuntime(Runtime):
             for pos, (query, result) in enumerate(log):
                 merged.append((result.seq, idx, pos, query, result))
         merged.sort(key=lambda entry: entry[:3])
-        for _, _, _, query, result in merged:
-            self._emit(query, result, result.trigger_ts)
+        # one emission per run of consecutive same-query results
+        for query, run in groupby(merged, key=itemgetter(3)):
+            self._emit(query, [entry[4] for entry in run])
         self._refresh_counters()
 
     def stored_tuples_total(self) -> int:

@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.topology import (
     EdgeSpec,
@@ -62,6 +65,37 @@ _Event = Tuple[float, int, str, Tuple[Any, ...]]
 _Emission = Tuple[StreamTuple, Tuple[str, ...], Tuple[str, ...]]
 
 
+@dataclass
+class TimedMetrics(EngineMetrics):
+    """:class:`~repro.engine.metrics.EngineMetrics` plus per-result
+    latency: only the simulator completes a result after its trigger."""
+
+    latencies: List[float] = field(default_factory=list)
+    #: (completion time, latency) per result
+    latency_samples: List[Tuple[float, float]] = field(default_factory=list)
+
+    def on_latency(self, completion_ts: float, trigger_ts: float) -> None:
+        latency = completion_ts - trigger_ts
+        self.latencies.append(latency)
+        self.latency_samples.append((completion_ts, latency))
+
+    @property
+    def mean_latency(self) -> float:
+        return float(np.mean(self.latencies)) if self.latencies else 0.0
+
+    def latency_timeline(self, bucket: float) -> List[Tuple[float, float]]:
+        """(bucket_start, mean latency) series for Fig. 8-style plots."""
+        if not self.latency_samples:
+            return []
+        buckets: Dict[int, List[float]] = {}
+        for ts, latency in self.latency_samples:
+            buckets.setdefault(int(ts // bucket), []).append(latency)
+        return [
+            (idx * bucket, float(np.mean(vals)))
+            for idx, vals in sorted(buckets.items())
+        ]
+
+
 class TimedSimulator(RewirableRuntime):
     """Queueing simulation of ``topology`` over a whole feed (:meth:`run`).
 
@@ -69,6 +103,8 @@ class TimedSimulator(RewirableRuntime):
     (``advance`` before, ``observe`` after), exactly where
     :class:`~repro.engine.adaptivity.AdaptiveRuntime` drives its own.
     """
+
+    metrics: TimedMetrics
 
     def __init__(
         self,
@@ -81,6 +117,7 @@ class TimedSimulator(RewirableRuntime):
         loop: Optional[AdaptivityLoop] = None,
     ) -> None:
         super().__init__(topology, windows, config)
+        self.metrics = TimedMetrics()
         if self.config.disorder_bound is not None:
             raise ValueError(
                 "the timed simulator orders its event heap by event "
@@ -238,7 +275,8 @@ class TimedSimulator(RewirableRuntime):
             metrics.on_completion(done)
             for result, queries, out_edges in emissions:
                 for query in queries:
-                    self._emit(query, result, done)
+                    metrics.on_latency(done, result.trigger_ts)
+                    self._emit(query, (result,))
                 for out_label in out_edges:
                     self._send(heap, seq, out_label, result, done)
             self._maybe_evict(now)

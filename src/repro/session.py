@@ -1113,16 +1113,21 @@ class JoinSession:
         self._loop.attach(runtime)
         return runtime
 
-    def _deliver(self, query: str, result: StreamTuple) -> None:
-        """The runtime's sink: fan one result out to its subscribers.
+    def _deliver(self, query: str, results: Sequence[StreamTuple]) -> None:
+        """The runtime's sink: fan a batch of results out to their
+        subscribers, result by result — every callback of a query sees a
+        result before any callback sees the next one.
 
         Under ``workers > 1`` this runs on the driver side of the
-        deterministic merge, so callback order is reproducible and
-        identical to the single-process session (same seq order)
-        regardless of worker scheduling.
+        deterministic merge, so callback order is reproducible regardless
+        of worker scheduling (equal to ``workers=1`` where docs/engine.md,
+        "Sharded execution", says it is).
         """
-        for callback in self._listeners.get(query, ()):
-            callback(result)
+        listeners = self._listeners.get(query)
+        if listeners:
+            for result in results:
+                for callback in listeners:
+                    callback(result)
 
     def _seed_controller(self, plan: SharedPlan, catalog: StatisticsCatalog) -> None:
         """Seed the controller with the deployed plan: every later

