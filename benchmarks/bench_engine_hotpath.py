@@ -311,7 +311,7 @@ def bench_logical_runtime(num_inputs: int, seed: int, backend: str = "python") -
             input_tuple(rel, t, {a: rng.randrange(40) for a in attrs[rel]})
         )
     cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=2))
-    plan = MultiQueryOptimizer(catalog, cfg, solver="own").optimize([query])
+    plan = MultiQueryOptimizer(catalog, cfg).optimize([query])
     topology = build_topology(plan.plan, catalog, cfg.cluster)
     runtime = TopologyRuntime(
         topology,
@@ -380,7 +380,7 @@ def bench_cascade(
     cfg = OptimizerConfig(
         enable_mirs=False, cluster=ClusterConfig(default_parallelism=1)
     )
-    plan = MultiQueryOptimizer(catalog, cfg, solver="own").optimize([query])
+    plan = MultiQueryOptimizer(catalog, cfg).optimize([query])
     topology = build_topology(plan.plan, catalog, cfg.cluster)
     runtime = TopologyRuntime(
         topology,
@@ -444,7 +444,7 @@ def bench_sharded_runtime(
             )
         )
     cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=1))
-    plan = MultiQueryOptimizer(catalog, cfg, solver="own").optimize([query])
+    plan = MultiQueryOptimizer(catalog, cfg).optimize([query])
     topology = build_topology(plan.plan, catalog, cfg.cluster)
     runtime = ShardedRuntime(
         topology,

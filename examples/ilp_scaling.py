@@ -4,9 +4,6 @@
 Generates random 3-way queries over a universe of relations, builds the
 multi-query ILP, solves it, and reports probe-cost savings, problem sizes,
 and optimization runtimes — the shapes of Figures 9a-9f.
-
-Also cross-checks the in-house branch-and-bound solver against scipy/HiGHS
-on a small instance.
 """
 
 from repro.experiments import format_table, run_point
@@ -59,15 +56,6 @@ def main() -> None:
             rows,
         )
     )
-
-    print()
-    print("=== solver cross-check (own branch-and-bound vs scipy/HiGHS) ===")
-    own = run_point(10, 4, seed=3, solver="own")
-    ref = run_point(10, 4, seed=3, solver="scipy")
-    print(f"own B&B optimum:   {own.mqo_cost:g}  ({own.optimize_seconds:.2f}s)")
-    print(f"scipy/HiGHS:       {ref.mqo_cost:g}  ({ref.optimize_seconds:.2f}s)")
-    assert abs(own.mqo_cost - ref.mqo_cost) < 1e-6, "solvers disagree!"
-    print("solvers agree.")
 
 
 if __name__ == "__main__":

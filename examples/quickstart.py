@@ -18,7 +18,7 @@ def main() -> None:
     # 1+2. queries, declared statistics, joint optimization (lazy: planned
     # at the first push; rates 100 and sel 0.015 are the paper's example)
     session = (
-        JoinSession(window=10.0, solver="own", parallelism=1)
+        JoinSession(window=10.0, parallelism=1)
         .with_selectivity("S.b=T.b", 0.015)
         .add_query("q1", "R.a=S.a", "S.b=T.b")
         .add_query("q2", "S.b=T.b", "T.c=U.c")

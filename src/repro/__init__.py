@@ -23,8 +23,9 @@ wiring keeps working — see the migration table in ``docs/api.md``):
 * :mod:`repro.core` — the contribution: MIR enumeration, probe-order
   candidates (Algorithm 1), the Equation-(1) cost model, the multi-query
   ILP (Algorithm 2), plan extraction, probe trees, and topology translation.
-* :mod:`repro.ilp` — an in-house 0/1 ILP solver stack (simplex + branch and
-  bound) replacing Gurobi, with a scipy/HiGHS cross-check backend.
+* :mod:`repro.ilp` — a small 0/1 ILP modeling layer solved by HiGHS
+  (``scipy.optimize.milp``) in place of Gurobi, plus the grouped greedy
+  planner.
 * :mod:`repro.engine` — a discrete-event simulated scale-out stream
   processor replacing Apache Storm, with epoch-based adaptive execution and
   live topology rewiring.

@@ -18,7 +18,7 @@ emits a 0/1 ILP:
 * objective: minimize the summed step costs (Equation 1 applied per step).
 
 Alongside the :class:`repro.ilp.Model`, the builder emits the equivalent
-:class:`repro.ilp.GroupedProblem` used by the greedy warm start.
+:class:`repro.ilp.GroupedProblem` the grouped greedy plans from.
 """
 
 from __future__ import annotations
@@ -392,7 +392,7 @@ def _conflicting_commitments(
     store_options: Dict[str, Tuple[Optional[Attribute], ...]],
 ) -> Tuple[Tuple[str, str], ...]:
     """Only multi-option stores can conflict; smaller commitment tuples keep
-    the greedy's compatibility checks (and the warm start) lean."""
+    the greedy's compatibility checks lean."""
     out = []
     for store_id, attr in info.commitments:
         options = store_options.get(store_id, ())

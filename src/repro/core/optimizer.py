@@ -1,10 +1,9 @@
 """High-level optimizer facade.
 
 ``MultiQueryOptimizer`` ties the pipeline together: enumerate candidates,
-build the ILP (Algorithm 2), solve it with the configured backend — the
-in-house branch-and-bound warm-started with the grouped greedy, HiGHS
-without (it takes no warm start, so none is computed) — and extract a
-:class:`SharedPlan`.
+build the ILP (Algorithm 2), select a plan — the grouped greedy for
+``"greedy"`` and for a model with nothing to choose, HiGHS for every other
+model — and extract a :class:`SharedPlan`.
 
 ``optimize_individual`` optimizes every query in isolation (the paper's
 "Individual" baseline in Figures 9a/9c): same machinery, one single-query
@@ -19,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ilp.greedy import GreedySolution, solve_greedy
 from ..ilp.model import Solution, SolveStatus
-from ..ilp.solvers import SolverMethod, resolve_method, solve_model
+from ..ilp.solvers import SolverMethod, solve_model
 from .catalog import StatisticsCatalog
 from .ilp_builder import MqoIlp, OptimizerConfig, build_mqo_ilp
 from .plan import SharedPlan, extract_plan
@@ -56,8 +55,8 @@ class OptimizationResult:
     plan: SharedPlan
     ilp: MqoIlp
     solution: Solution
-    #: the grouped greedy selection, when a solver read it (``"greedy"``
-    #: itself, or the in-house B&B's warm start); ``None`` when HiGHS solved
+    #: the grouped greedy selection when it is the plan (``"greedy"``, or a
+    #: model with one candidate per group); ``None`` when HiGHS solved
     greedy: Optional[GreedySolution]
     build_seconds: float
     solve_seconds: float
@@ -96,15 +95,14 @@ class MultiQueryOptimizer:
     config:
         ILP construction knobs (MIRs, constraint form, partitioning layer).
     solver:
-        ``"own"``, ``"scipy"``, ``"auto"`` (see :mod:`repro.ilp.solvers`),
+        ``"auto"`` or ``"scipy"`` (both: the exact optimum, from HiGHS
+        unless every group has a single candidate — see :meth:`optimize`),
         or ``"greedy"`` — promote the grouped greedy heuristic's feasible
         selection to the plan without an exact solve.  Greedy plans are
         valid (every query answered, partitioning consistent) but not
         cost-optimal; they are the fast path for shapes whose exact ILP
         explodes (e.g. large cyclic queries, where candidate probe orders
         over ring-arc MIRs run into thousands of binaries).
-    use_greedy_warm_start:
-        Seed branch-and-bound with the grouped greedy solution.
     """
 
     def __init__(
@@ -112,13 +110,11 @@ class MultiQueryOptimizer:
         catalog: StatisticsCatalog,
         config: Optional[OptimizerConfig] = None,
         solver: SolverMethod | str = SolverMethod.AUTO,
-        use_greedy_warm_start: bool = True,
         solver_time_limit: Optional[float] = None,
     ) -> None:
         self.catalog = catalog
         self.config = config or OptimizerConfig()
         self.solver = solver
-        self.use_greedy_warm_start = use_greedy_warm_start
         self.solver_time_limit = solver_time_limit
 
     # ------------------------------------------------------------------
@@ -132,35 +128,36 @@ class MultiQueryOptimizer:
         ilp = self.build(queries)
         t1 = time.perf_counter()
 
-        method = resolve_method(ilp.model, self.solver)
+        method = SolverMethod(self.solver)
+        # a model whose every group has one candidate leaves nothing to
+        # choose: the greedy's selection is its only minimal feasible one
+        # (step costs are non-negative, so groups nothing activates stay
+        # empty), hence optimal without a solver call
+        forced = all(len(names) == 1 for names in ilp.groups.values())
         greedy = None
-        warm_start = None
-        # the greedy is computed for the solver that reads it: it *is* the
-        # "greedy" plan and seeds the in-house B&B's incumbent; HiGHS takes
-        # no warm start
-        if method is SolverMethod.GREEDY or (
-            method is SolverMethod.OWN and self.use_greedy_warm_start
-        ):
+        if method is SolverMethod.GREEDY or forced:
             greedy = solve_greedy(ilp.grouped)
-            if greedy is not None:
-                warm_start = ilp.warm_start_assignment(greedy)
-
-        if method is SolverMethod.GREEDY:
-            if greedy is None or warm_start is None:
+            if greedy is None:
+                # on a forced model the greedy misses only when no
+                # feasible selection exists
                 raise RuntimeError(
                     "greedy heuristic found no feasible selection"
+                    if method is SolverMethod.GREEDY
+                    else f"MQO ILP solve failed: {SolveStatus.INFEASIBLE}"
                 )
+            assignment = ilp.warm_start_assignment(greedy)
             solution = Solution(
-                status=SolveStatus.FEASIBLE,
-                objective=ilp.model.objective.value(warm_start),
-                values=dict(warm_start),
+                status=(
+                    SolveStatus.FEASIBLE
+                    if method is SolverMethod.GREEDY
+                    else SolveStatus.OPTIMAL
+                ),
+                objective=ilp.model.objective.value(assignment),
+                values=assignment,
             )
         else:
             solution = solve_model(
-                ilp.model,
-                method=method,
-                warm_start=warm_start,
-                time_limit=self.solver_time_limit,
+                ilp.model, method=method, time_limit=self.solver_time_limit
             )
         t2 = time.perf_counter()
 

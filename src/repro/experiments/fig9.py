@@ -9,8 +9,8 @@ driver reports
 * ILP problem sizes — variables and candidate probe orders (9b / 9d),
 * optimization wall time (9e / 9f).
 
-Absolute runtimes differ from the paper (own solver / HiGHS instead of
-Gurobi, Python instead of Kotlin); the *shapes* — MQO savings shrinking
+Absolute runtimes differ from the paper (HiGHS instead of Gurobi, Python
+instead of Kotlin); the *shapes* — MQO savings shrinking
 with more relations, near-linear runtime in the query count, exponential
 growth in query size — are the reproduction targets.
 """
@@ -96,9 +96,7 @@ def run_point(
         strict_partitioning=strict_partitioning,
         cluster=ClusterConfig(default_parallelism=parallelism),
     )
-    optimizer = MultiQueryOptimizer(
-        env.catalog, config, solver=solver, use_greedy_warm_start=(solver == "own")
-    )
+    optimizer = MultiQueryOptimizer(env.catalog, config, solver=solver)
 
     start = time.perf_counter()
     result = optimizer.optimize(queries)

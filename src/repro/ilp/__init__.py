@@ -1,21 +1,19 @@
 """Integer linear programming substrate.
 
-The paper solves its multi-query optimization ILPs with Gurobi; this package
-replaces it with an in-house stack:
+The paper solves its multi-query optimization ILPs with Gurobi; this
+package solves them with HiGHS:
 
 * :mod:`repro.ilp.model` — modeling layer (variables, constraints, objective)
-* :mod:`repro.ilp.simplex` — dense two-phase primal simplex (LP relaxations)
-* :mod:`repro.ilp.bnb` — exact branch-and-bound on top of the simplex
-* :mod:`repro.ilp.greedy` — grouped-selection greedy heuristic (warm starts)
-* :mod:`repro.ilp.scipy_backend` — HiGHS via ``scipy.optimize.milp`` for
-  cross-validation and large instances
+* :mod:`repro.ilp.greedy` — grouped-selection greedy heuristic (the
+  ``"greedy"`` planner, and the plan of a model with nothing to choose)
+* :mod:`repro.ilp.scipy_backend` — HiGHS via ``scipy.optimize.milp``, the
+  one exact solver
+* :mod:`repro.ilp.solvers` — the solver names and :func:`solve_model`
 """
 
-from .bnb import BranchAndBoundSolver
 from .greedy import GroupedCandidate, GroupedProblem, GreedySolution, solve_greedy
 from .model import (
     Constraint,
-    InfeasibleModelError,
     LinExpr,
     Model,
     Sense,
@@ -28,12 +26,10 @@ from .scipy_backend import ScipyMilpSolver
 from .solvers import SolverMethod, solve_model
 
 __all__ = [
-    "BranchAndBoundSolver",
     "Constraint",
     "GroupedCandidate",
     "GroupedProblem",
     "GreedySolution",
-    "InfeasibleModelError",
     "LinExpr",
     "Model",
     "ScipyMilpSolver",

@@ -10,8 +10,9 @@ groups (the MIR's maintenance probe orders).
 This module captures that structure explicitly and solves it greedily:
 repeatedly pick, over all pending unsatisfied groups, the compatible
 candidate with the smallest *marginal* step cost.  The result is a feasible
-(not necessarily optimal) selection used (a) as a warm start for
-branch-and-bound and (b) as a comparison point in the ablation benchmarks.
+(not necessarily optimal) selection: the ``"greedy"`` planner's plan, and
+the plan of a model in which every group has one candidate, where it is the
+only minimal selection and therefore optimal.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 The paper formulates multi-query probe-order selection as a 0/1 integer
 linear program (Section V) and solves it with Gurobi.  Gurobi is not
 available here, so this package provides a small, self-contained modeling
-layer plus several solvers (own simplex-based branch-and-bound, a greedy
-heuristic, and an optional ``scipy.optimize.milp`` backend used for
-cross-validation).
+layer that :mod:`repro.ilp.scipy_backend` hands to HiGHS
+(``scipy.optimize.milp``).
 
 The modeling layer is deliberately minimal: binary/integer/continuous
 variables with bounds, linear constraints with senses ``<=``, ``>=``, ``==``,
@@ -16,9 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
+import numpy.typing as npt
 
 __all__ = [
     "VarType",
@@ -29,12 +29,9 @@ __all__ = [
     "Model",
     "Solution",
     "SolveStatus",
-    "InfeasibleModelError",
 ]
 
-
-class InfeasibleModelError(Exception):
-    """Raised by solvers when the model provably has no feasible point."""
+FloatArray = npt.NDArray[np.float64]
 
 
 class VarType(enum.Enum):
@@ -81,12 +78,12 @@ class Variable:
 
     __rmul__ = __mul__
 
-    def __add__(self, other) -> "LinExpr":
+    def __add__(self, other: "Operand") -> "LinExpr":
         return LinExpr({self: 1.0}) + other
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "LinExpr":
+    def __sub__(self, other: "Operand") -> "LinExpr":
         return LinExpr({self: 1.0}) - other
 
     def __neg__(self) -> "LinExpr":
@@ -95,7 +92,7 @@ class Variable:
     def __hash__(self) -> int:
         return self.index
 
-    def __eq__(self, other) -> bool:  # type: ignore[override]
+    def __eq__(self, other: object) -> bool:
         return isinstance(other, Variable) and other.index == self.index
 
 
@@ -113,7 +110,7 @@ class LinExpr:
         self.constant = float(constant)
 
     @staticmethod
-    def sum(items: Iterable) -> "LinExpr":
+    def sum(items: Iterable["Operand"]) -> "LinExpr":
         """Sum variables and/or expressions into a single expression."""
         out = LinExpr()
         for item in items:
@@ -130,7 +127,7 @@ class LinExpr:
         else:
             self.terms[var] = new
 
-    def __add__(self, other) -> "LinExpr":
+    def __add__(self, other: "Operand") -> "LinExpr":
         out = self.copy()
         if isinstance(other, LinExpr):
             for var, coef in other.terms.items():
@@ -144,7 +141,7 @@ class LinExpr:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "LinExpr":
+    def __sub__(self, other: "Operand") -> "LinExpr":
         if isinstance(other, LinExpr):
             return self + (other * -1.0)
         if isinstance(other, Variable):
@@ -177,6 +174,10 @@ class LinExpr:
         return " ".join(parts) if parts else "0"
 
 
+#: what a linear expression is built from
+Operand = Union[Variable, LinExpr, float]
+
+
 @dataclass
 class Constraint:
     """``expr (<=|>=|==) rhs``; ``rhs`` is folded from the expr constant."""
@@ -202,8 +203,6 @@ class Solution:
     status: SolveStatus
     objective: float = float("nan")
     values: Dict[Variable, float] = field(default_factory=dict)
-    #: solver-specific diagnostics (node counts, iterations, wall time)
-    info: Dict[str, float] = field(default_factory=dict)
 
     def value(self, var: Variable) -> float:
         return self.values.get(var, 0.0)
@@ -249,7 +248,9 @@ class Model:
     def has_var(self, name: str) -> bool:
         return name in self._names
 
-    def add_constraint(self, expr: LinExpr, sense: Sense, rhs: float, name: str = "") -> Constraint:
+    def add_constraint(
+        self, expr: Union[LinExpr, Variable], sense: Sense, rhs: float, name: str = ""
+    ) -> Constraint:
         """Add ``expr sense rhs``. The expression constant is folded into rhs."""
         if isinstance(expr, Variable):
             expr = LinExpr({expr: 1.0})
@@ -264,16 +265,16 @@ class Model:
         self.constraints.append(con)
         return con
 
-    def add_le(self, expr: LinExpr, rhs: float, name: str = "") -> Constraint:
+    def add_le(self, expr: Union[LinExpr, Variable], rhs: float, name: str = "") -> Constraint:
         return self.add_constraint(expr, Sense.LE, rhs, name)
 
-    def add_ge(self, expr: LinExpr, rhs: float, name: str = "") -> Constraint:
+    def add_ge(self, expr: Union[LinExpr, Variable], rhs: float, name: str = "") -> Constraint:
         return self.add_constraint(expr, Sense.GE, rhs, name)
 
-    def add_eq(self, expr: LinExpr, rhs: float, name: str = "") -> Constraint:
+    def add_eq(self, expr: Union[LinExpr, Variable], rhs: float, name: str = "") -> Constraint:
         return self.add_constraint(expr, Sense.EQ, rhs, name)
 
-    def set_objective(self, expr: LinExpr) -> None:
+    def set_objective(self, expr: Union[LinExpr, Variable]) -> None:
         """Set the objective to *minimize* (constants are preserved)."""
         if isinstance(expr, Variable):
             expr = LinExpr({expr: 1.0})
@@ -290,9 +291,6 @@ class Model:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def integer_variables(self) -> List[Variable]:
-        return [v for v in self.variables if v.vtype is not VarType.CONTINUOUS]
-
     def is_feasible(self, assignment: Mapping[Variable, float], tol: float = 1e-6) -> bool:
         """Check bounds, integrality, and all constraints."""
         for var in self.variables:
@@ -307,20 +305,27 @@ class Model:
         return self.objective.value(assignment)
 
     # ------------------------------------------------------------------
-    # matrix form (used by the simplex and scipy backends)
+    # matrix form (what HiGHS reads)
     # ------------------------------------------------------------------
-    def to_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def to_matrices(
+        self,
+    ) -> Tuple[
+        FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray
+    ]:
         """Export ``(c, A_ub, b_ub, A_eq, b_eq, lb, ub)`` dense arrays.
 
         ``>=`` rows are negated into ``<=`` rows.  The objective constant is
-        dropped (solvers add it back via :attr:`objective_constant`).
+        dropped; :meth:`solution_from_vector` evaluates the full objective.
         """
         n = self.num_vars
         c = np.zeros(n)
         for var, coef in self.objective.terms.items():
             c[var.index] = coef
 
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+        ub_rows: List[FloatArray] = []
+        eq_rows: List[FloatArray] = []
+        ub_rhs: List[float] = []
+        eq_rhs: List[float] = []
         for con in self.constraints:
             row = np.zeros(n)
             for var, coef in con.expr.terms.items():
@@ -343,17 +348,12 @@ class Model:
         ub = np.array([v.ub for v in self.variables])
         return c, a_ub, b_ub, a_eq, b_eq, lb, ub
 
-    @property
-    def objective_constant(self) -> float:
-        return self.objective.constant
-
-    def solution_from_vector(self, x: np.ndarray, status: SolveStatus, **info: float) -> Solution:
+    def solution_from_vector(self, x: FloatArray, status: SolveStatus) -> Solution:
         values = {var: float(x[var.index]) for var in self.variables}
         return Solution(
             status=status,
             objective=self.objective.value(values),
             values=values,
-            info=dict(info),
         )
 
     def __repr__(self) -> str:

@@ -1,18 +1,17 @@
 """ILP backend wrapping ``scipy.optimize.milp`` (HiGHS).
 
-Used (a) to cross-validate the in-house branch-and-bound solver in the test
-suite, and (b) as the default backend for large instances (the paper uses
-Gurobi, an equally external solver, for all instances).
+The one exact solver of the package, standing in for the Gurobi the paper
+uses for all instances.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy import optimize, sparse
 
-from .model import Model, Solution, SolveStatus, VarType, Variable
+from .model import Model, Solution, SolveStatus, VarType
 
 __all__ = ["ScipyMilpSolver"]
 
@@ -24,14 +23,10 @@ class ScipyMilpSolver:
         self.time_limit = time_limit
         self.mip_rel_gap = mip_rel_gap
 
-    def solve(
-        self,
-        model: Model,
-        warm_start: Optional[Mapping[Variable, float]] = None,  # unused; API parity
-    ) -> Solution:
+    def solve(self, model: Model) -> Solution:
         c, a_ub, b_ub, a_eq, b_eq, lb, ub = model.to_matrices()
 
-        constraints = []
+        constraints: List[optimize.LinearConstraint] = []
         if a_ub.shape[0]:
             constraints.append(
                 optimize.LinearConstraint(
@@ -46,7 +41,7 @@ class ScipyMilpSolver:
         integrality = np.array(
             [0 if v.vtype is VarType.CONTINUOUS else 1 for v in model.variables]
         )
-        options = {"mip_rel_gap": self.mip_rel_gap}
+        options: Dict[str, float] = {"mip_rel_gap": self.mip_rel_gap}
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
 

@@ -88,6 +88,7 @@ from .engine.runtime import Runtime, RuntimeConfig
 from .engine.sharding import ShardedRuntime
 from .engine.statistics import EpochStatistics
 from .engine.tuples import StreamTuple, input_tuple
+from .ilp.solvers import SolverMethod
 
 __all__ = [
     "JoinSession",
@@ -148,6 +149,19 @@ class EngineFailedError(SessionError):
     :class:`~repro.engine.sharding.ShardFailedError` instead (a subclass
     of ``RuntimeError``, carrying the worker traceback).
     """
+
+
+def _check_solver(solver: str) -> str:
+    """Validate a solver name up front: the optimizer first reads it at the
+    first plan, where a bad name would fail every push."""
+    try:
+        SolverMethod(solver)
+    except ValueError:
+        raise ValueError(
+            f"unknown solver {solver!r}; expected one of "
+            f"{sorted(method.value for method in SolverMethod)}"
+        ) from None
+    return solver
 
 
 def _check_on_late(policy: str) -> str:
@@ -219,8 +233,10 @@ class JoinSession:
         Default per-relation window length (seconds of event time); override
         per relation with :meth:`with_window`.
     solver:
-        ILP backend: ``"auto"`` (exact, degrading to the greedy planner for
-        cyclic query shapes), ``"own"``, ``"scipy"``, or ``"greedy"``.
+        Planner: ``"auto"`` (the exact ILP optimum, degrading to the
+        greedy planner for cyclic query shapes), ``"scipy"`` (always the
+        exact optimum), or ``"greedy"``.  The exact optimum comes from
+        HiGHS, or without a solver call when every choice is forced.
     default_rate:
         Arrival rate assumed for relations with neither a declared rate nor
         observed traffic (only relevant before the first replan).
@@ -332,7 +348,7 @@ class JoinSession:
                 "grant)"
             )
         self.window = float(window)
-        self.solver = solver
+        self.solver = _check_solver(solver)
         self.default_rate = float(default_rate)
         self.default_selectivity = float(default_selectivity)
         self.record_streams = record_streams

@@ -119,7 +119,7 @@ class TestStrategies:
 
     def test_profiles_assigned(self, queries, catalog):
         names = {
-            s: build_strategy(s, queries, catalog, solver="own").profile.name
+            s: build_strategy(s, queries, catalog).profile.name
             for s in STRATEGIES
         }
         assert names["FI"] == "flink" and names["FS"] == "flink"
@@ -127,18 +127,18 @@ class TestStrategies:
         assert names["CMQO"] == "clash"
 
     def test_independent_duplicates_stores(self, queries, catalog):
-        fi = build_strategy("FI", queries, catalog, solver="own")
-        fs = build_strategy("FS", queries, catalog, solver="own")
+        fi = build_strategy("FI", queries, catalog)
+        fs = build_strategy("FS", queries, catalog)
         assert fi.num_stores > fs.num_stores
 
     def test_cmqo_probe_cost_not_worse_than_shared(self, queries, catalog):
         cluster = ClusterConfig(default_parallelism=1)
-        ss = build_strategy("SS", queries, catalog, cluster, solver="own")
+        ss = build_strategy("SS", queries, catalog, cluster)
         cfg = OptimizerConfig(
             cluster=cluster, strict_partitioning=False
         )
         cmqo = build_strategy(
-            "CMQO", queries, catalog, cluster, optimizer_config=cfg, solver="own"
+            "CMQO", queries, catalog, cluster, optimizer_config=cfg
         )
         assert cmqo.probe_cost <= ss.probe_cost + 1e-9
 
@@ -156,7 +156,6 @@ class TestStrategies:
                 queries,
                 catalog,
                 ClusterConfig(default_parallelism=2),
-                solver="own",
             )
             rt = TopologyRuntime(
                 compiled.topology, windows, RuntimeConfig()

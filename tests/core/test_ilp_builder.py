@@ -8,7 +8,6 @@ Includes the paper's two worked examples:
 import pytest
 
 from repro.core import optimizer as optimizer_module
-from repro.core.adaptive import plan_signature
 from repro.core.catalog import StatisticsCatalog
 from repro.core.ilp_builder import (
     OptimizerConfig,
@@ -23,9 +22,9 @@ from repro.core.predicates import JoinPredicate
 from repro.core.query import Query
 from repro.ilp.greedy import solve_greedy
 from repro.ilp.model import SolveStatus
-from repro.ilp import solvers as solvers_module
-from repro.ilp.solvers import SolverMethod, resolve_method, solve_model
+from repro.ilp.scipy_backend import ScipyMilpSolver
 from repro.streams.tpch import five_query_workload, tpch_catalog
+from repro.streams.workloads import make_environment, random_queries
 
 
 @pytest.fixture()
@@ -126,14 +125,14 @@ class TestIlpStructure:
 
 class TestPaperSecV2Outcome:
     def test_individual_costs_475(self, paper_queries, paper_catalog):
-        opt = MultiQueryOptimizer(paper_catalog, _flat_config(), solver="own")
+        opt = MultiQueryOptimizer(paper_catalog, _flat_config())
         ind = opt.optimize_individual(list(paper_queries))
         assert ind.results["q1"].plan.objective == pytest.approx(475.0)
         assert ind.results["q2"].plan.objective == pytest.approx(475.0)
         assert ind.total_cost == pytest.approx(950.0)
 
     def test_mqo_beats_individual(self, paper_queries, paper_catalog):
-        opt = MultiQueryOptimizer(paper_catalog, _flat_config(), solver="own")
+        opt = MultiQueryOptimizer(paper_catalog, _flat_config())
         res = opt.optimize(list(paper_queries))
         assert res.plan.objective == pytest.approx(800.0)
 
@@ -141,7 +140,7 @@ class TestPaperSecV2Outcome:
         self, paper_queries, paper_catalog
     ):
         """q1's S-start must pick <S, T, R> (cost 175 alone, 75 marginal)."""
-        opt = MultiQueryOptimizer(paper_catalog, _flat_config(), solver="own")
+        opt = MultiQueryOptimizer(paper_catalog, _flat_config())
         res = opt.optimize(list(paper_queries))
         s_choice = res.plan.chosen[user_group("q1", "S")]
         stores = [m.display_name for m in s_choice.decorated.order.sequence]
@@ -149,9 +148,9 @@ class TestPaperSecV2Outcome:
 
     def test_solvers_agree(self, paper_queries, paper_catalog):
         cfg = _flat_config()
-        own = MultiQueryOptimizer(paper_catalog, cfg, solver="own")
+        auto = MultiQueryOptimizer(paper_catalog, cfg)
         ref = MultiQueryOptimizer(paper_catalog, cfg, solver="scipy")
-        assert own.optimize(list(paper_queries)).plan.objective == pytest.approx(
+        assert auto.optimize(list(paper_queries)).plan.objective == pytest.approx(
             ref.optimize(list(paper_queries)).plan.objective
         )
 
@@ -169,7 +168,7 @@ class TestPaperSecV2Outcome:
 class TestMirPlans:
     def test_mir_plan_includes_maintenance(self, paper_queries, paper_catalog):
         cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=4))
-        opt = MultiQueryOptimizer(paper_catalog, cfg, solver="own")
+        opt = MultiQueryOptimizer(paper_catalog, cfg)
         res = opt.optimize(list(paper_queries))
         if res.plan.mir_stores:
             maint = res.plan.maintenance_orders()
@@ -212,7 +211,7 @@ class TestPlanExtraction:
             extract_plan(ilp, Solution(status=SolveStatus.INFEASIBLE))
 
     def test_all_user_groups_covered(self, paper_queries, paper_catalog):
-        opt = MultiQueryOptimizer(paper_catalog, _flat_config(), solver="own")
+        opt = MultiQueryOptimizer(paper_catalog, _flat_config())
         plan = opt.optimize(list(paper_queries)).plan
         for group in (
             [user_group("q1", r) for r in "RST"]
@@ -221,7 +220,7 @@ class TestPlanExtraction:
             assert group in plan.chosen
 
     def test_objective_matches_union_of_steps(self, paper_queries, paper_catalog):
-        opt = MultiQueryOptimizer(paper_catalog, _flat_config(), solver="own")
+        opt = MultiQueryOptimizer(paper_catalog, _flat_config())
         res = opt.optimize(list(paper_queries))
         keys = {k for info in res.plan.chosen.values() for k in info.step_keys}
         total = sum(res.ilp.steps[k].cost for k in keys)
@@ -233,7 +232,7 @@ class TestPlanExtraction:
         for rel in "RSTU":
             paper_catalog.with_window(rel, 5.0)
         cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=1))
-        opt = MultiQueryOptimizer(paper_catalog, cfg, solver="own")
+        opt = MultiQueryOptimizer(paper_catalog, cfg)
         plan = opt.optimize(list(paper_queries)).plan
         mem = estimate_memory(plan, paper_catalog)
         assert mem > 0
@@ -242,90 +241,109 @@ class TestPlanExtraction:
         )
 
     def test_describe_mentions_all_queries(self, paper_queries, paper_catalog):
-        opt = MultiQueryOptimizer(paper_catalog, _flat_config(), solver="own")
+        opt = MultiQueryOptimizer(paper_catalog, _flat_config())
         text = opt.optimize(list(paper_queries)).plan.describe()
         assert "q:q1:R" in text and "q:q2:U" in text
 
 
-class TestGreedyIsComputedWhereItIsRead:
-    """The grouped greedy is the ``"greedy"`` plan and the in-house B&B's
-    warm start; HiGHS takes none, so ``optimize`` asks ``resolve_method``
-    which solver will run before computing it."""
+class TestFormulationRelationships:
+    """Relationships between ILP variants on a 10-relation, 8-query random
+    workload (parallelism 4, MIRs up to size 2)."""
 
-    @pytest.fixture()
-    def spy(self, monkeypatch):
-        """Counts ``solve_greedy`` calls, records what ``solve_model`` got."""
-        seen = {"greedy_calls": 0, "warm_starts": []}
-
-        def counting_greedy(grouped):
-            seen["greedy_calls"] += 1
-            return solve_greedy(grouped)
-
-        def recording_solve(model, **kwargs):
-            seen["warm_starts"].append(kwargs["warm_start"])
-            return solve_model(model, **kwargs)
-
-        monkeypatch.setattr(optimizer_module, "solve_greedy", counting_greedy)
-        monkeypatch.setattr(optimizer_module, "solve_model", recording_solve)
-        return seen
+    @pytest.fixture(scope="class")
+    def workload(self):
+        env = make_environment(10)
+        return env.catalog, random_queries(env, 8, query_size=3, seed=11)
 
     @staticmethod
-    def _tpch(solver, **kwargs):
+    def _objective(workload, **config):
+        catalog, queries = workload
+        cfg = OptimizerConfig(
+            mir_max_size=2, cluster=ClusterConfig(default_parallelism=4), **config
+        )
+        return MultiQueryOptimizer(catalog, cfg).optimize(queries).plan.objective
+
+    def test_paper_and_indicator_forms_reach_one_optimum(self, workload):
+        paper, indicator = (
+            self._objective(workload, constraint_form=form, strict_partitioning=False)
+            for form in ("paper", "indicator")
+        )
+        assert paper == pytest.approx(indicator)
+
+    def test_mirs_never_raise_the_optimum(self, workload):
+        with_mirs, without = (
+            self._objective(workload, enable_mirs=on, strict_partitioning=False)
+            for on in (True, False)
+        )
+        assert with_mirs <= without + 1e-9
+
+    @pytest.mark.slow
+    def test_relaxed_partitioning_never_raises_the_optimum(self, workload):
+        relaxed, strict = (
+            self._objective(workload, strict_partitioning=strict)
+            for strict in (False, True)
+        )
+        assert relaxed <= strict + 1e-9
+
+
+class TestForcedPlansSkipTheSolver:
+    """HiGHS solves every model that leaves a choice.  A model whose every
+    group has a single candidate leaves none: the grouped greedy's
+    selection is its plan, optimal, with no solver call."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        """The variable count of every model handed to HiGHS."""
+        calls = []
+        solve = ScipyMilpSolver.solve
+
+        def counting_solve(self, model):
+            calls.append(model.num_vars)
+            return solve(self, model)
+
+        monkeypatch.setattr(ScipyMilpSolver, "solve", counting_solve)
+        return calls
+
+    @staticmethod
+    def _tpch(solver):
         """The first plan of the ``tpch5_probe`` workload: 348 variables."""
         cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=1))
-        opt = MultiQueryOptimizer(tpch_catalog(), cfg, solver=solver, **kwargs)
+        opt = MultiQueryOptimizer(tpch_catalog(), cfg, solver=solver)
         return opt.optimize(five_query_workload())
 
     @staticmethod
     def _tiny(solver):
+        """A 2-way query: one candidate per group, nothing to choose."""
         catalog = StatisticsCatalog().with_rate("R", 10.0).with_rate("S", 10.0)
         opt = MultiQueryOptimizer(catalog, solver=solver)
         return opt.optimize([Query.of("q", "R.a=S.a")])
 
-    def test_highs_sized_model_computes_no_greedy(self, spy):
-        res = self._tpch("auto")
-        assert res.ilp.model.num_vars == 348
-        assert resolve_method(res.ilp.model, "auto") is SolverMethod.SCIPY
-        assert spy == {"greedy_calls": 0, "warm_starts": [None]}
-        assert res.greedy is None
-
-    @pytest.mark.parametrize("solver", ["auto", "own"])
-    def test_branch_and_bound_is_seeded(self, spy, solver):
+    @pytest.mark.parametrize("solver", ["auto", "scipy"])
+    def test_forced_model_calls_no_solver(self, solves, solver):
         res = self._tiny(solver)
         assert res.ilp.model.num_vars == 4
-        assert resolve_method(res.ilp.model, solver) is SolverMethod.OWN
-        assert spy["greedy_calls"] == 1
-        (warm_start,) = spy["warm_starts"]
-        assert warm_start is not None and res.ilp.model.is_feasible(warm_start)
+        assert solves == []
+        assert res.solution.status is SolveStatus.OPTIMAL
         assert res.greedy is not None
+        assert res.plan.objective == pytest.approx(res.greedy.objective)
 
-    def test_explicit_scipy_computes_no_greedy(self, spy):
-        assert self._tiny("scipy").greedy is None
-        assert spy == {"greedy_calls": 0, "warm_starts": [None]}
+    def test_model_with_choices_goes_to_highs(self, solves):
+        res = self._tpch("auto")
+        assert solves == [348]
+        assert res.solution.status is SolveStatus.OPTIMAL
+        assert res.greedy is None
 
     @pytest.mark.parametrize("workload", ["_tiny", "_tpch"])
-    def test_greedy_method_computes_it_once(self, spy, workload):
+    def test_greedy_method_calls_no_solver(self, solves, workload):
         res = getattr(self, workload)("greedy")
-        assert res.greedy is not None
+        assert solves == []
         assert res.solution.status is SolveStatus.FEASIBLE
-        # the greedy selection is the solution: no solver ran
-        assert spy == {"greedy_calls": 1, "warm_starts": []}
+        assert res.greedy is not None
 
-    def test_plan_does_not_depend_on_the_flag_when_highs_solves(self):
-        with_flag = self._tpch("auto", use_greedy_warm_start=True)
-        without = self._tpch("auto", use_greedy_warm_start=False)
-        assert plan_signature(with_flag.plan) == plan_signature(without.plan)
-
-    def test_the_size_rule_has_one_home(self, spy, monkeypatch):
-        """Moving the threshold moves ``solve_model`` and ``optimize``
-        together: both go through ``resolve_method``."""
-        monkeypatch.setattr(solvers_module, "AUTO_OWN_MAX_VARS", 3)
-        res = self._tiny("auto")
-        assert resolve_method(res.ilp.model, "auto") is SolverMethod.SCIPY
-        assert spy == {"greedy_calls": 0, "warm_starts": [None]}
-
-        def refuse(self, model, warm_start=None):
-            raise AssertionError("auto sent a model above the threshold to the B&B")
-
-        monkeypatch.setattr(solvers_module.BranchAndBoundSolver, "solve", refuse)
-        assert solve_model(res.ilp.model, method="auto").status is SolveStatus.OPTIMAL
+    def test_forced_model_without_a_selection_is_infeasible(
+        self, solves, monkeypatch
+    ):
+        monkeypatch.setattr(optimizer_module, "solve_greedy", lambda grouped: None)
+        with pytest.raises(RuntimeError, match="INFEASIBLE"):
+            self._tiny("auto")
+        assert solves == []

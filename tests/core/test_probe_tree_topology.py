@@ -25,7 +25,7 @@ def _optimize(queries, catalog, parallelism=1, enable_mirs=False):
         enable_mirs=enable_mirs,
         cluster=ClusterConfig(default_parallelism=parallelism),
     )
-    opt = MultiQueryOptimizer(catalog, cfg, solver="own")
+    opt = MultiQueryOptimizer(catalog, cfg)
     return opt.optimize(queries), cfg
 
 

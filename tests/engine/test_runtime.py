@@ -63,7 +63,7 @@ def optimize_and_run(queries, catalog, inputs, windows, parallelism=2, **cfg_kwa
     cfg = OptimizerConfig(
         cluster=ClusterConfig(default_parallelism=parallelism), **cfg_kwargs
     )
-    opt = MultiQueryOptimizer(catalog, cfg, solver="own")
+    opt = MultiQueryOptimizer(catalog, cfg)
     res = opt.optimize(queries)
     topo = build_topology(res.plan, catalog, cfg.cluster)
     rt = TopologyRuntime(topo, windows, RuntimeConfig())
@@ -129,7 +129,7 @@ class TestLogicalCorrectness:
             inputs.append(tup)
         windows = {r: 8.0 for r in "RSTU"}
         cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=3))
-        opt = MultiQueryOptimizer(cat, cfg, solver="own")
+        opt = MultiQueryOptimizer(cat, cfg)
         res = opt.optimize([q1, q2])
         topo = build_topology(res.plan, cat, cfg.cluster)
         rt = TopologyRuntime(topo, windows, RuntimeConfig())
@@ -202,7 +202,7 @@ class TestMetrics:
         cat = base_catalog()
         _, inputs = make_streams(9, 200, rels="RS")
         cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=1))
-        opt = MultiQueryOptimizer(cat, cfg, solver="own")
+        opt = MultiQueryOptimizer(cat, cfg)
         res = opt.optimize([q])
         topo = build_topology(res.plan, cat, cfg.cluster)
         rt = TopologyRuntime(

