@@ -327,6 +327,24 @@ class TestForcedPlansSkipTheSolver:
         assert res.greedy is not None
         assert res.plan.objective == pytest.approx(res.greedy.objective)
 
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    @pytest.mark.parametrize("form", ["paper", "indicator"])
+    def test_forced_plan_is_the_highs_optimum_of_its_model(self, form, parallelism):
+        """The forced selection, priced by the model, is what HiGHS finds
+        when it is handed the same model."""
+        catalog = StatisticsCatalog().with_rate("R", 40.0).with_rate("S", 3.0)
+        cfg = OptimizerConfig(
+            constraint_form=form,
+            cluster=ClusterConfig(default_parallelism=parallelism),
+        )
+        res = MultiQueryOptimizer(catalog, cfg).optimize([Query.of("q", "R.a=S.a")])
+        assert all(len(names) == 1 for names in res.ilp.groups.values())
+        exact = ScipyMilpSolver().solve(res.ilp.model)
+        assert exact.status is SolveStatus.OPTIMAL
+        assert res.ilp.model.is_feasible(res.solution.values)
+        assert res.solution.objective == pytest.approx(exact.objective)
+        assert res.plan.objective == pytest.approx(exact.objective)
+
     def test_model_with_choices_goes_to_highs(self, solves):
         res = self._tpch("auto")
         assert solves == [348]

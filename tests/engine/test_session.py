@@ -408,6 +408,12 @@ class TestSolverKnob:
         for valid in ("auto", "greedy", "scipy"):
             assert valid in str(exc.value)
 
+    @pytest.mark.parametrize("name", ["auto", "greedy", "scipy"])
+    def test_known_solver_plans_and_joins(self, name):
+        session = JoinSession(window=4.0, solver=name).add_query("q", "R.a=S.a")
+        session.push("R", {"a": 1}, 1.0).push("S", {"a": 1}, 2.0)
+        assert len(session.results("q")) == 1
+
     def test_snapshot_naming_the_removed_solver_is_refused(self, tmp_path):
         from repro.service.snapshot import write_snapshot
 

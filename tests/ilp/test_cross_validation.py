@@ -12,6 +12,7 @@ feasible but never better than the enumerated minimum.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.ilp.greedy import GroupedCandidate, GroupedProblem, solve_greedy
@@ -72,6 +73,25 @@ class TestRandomBinaryModels:
         assert ref.status is SolveStatus.OPTIMAL
         assert model.is_feasible(ref.values)
         assert ref.objective == pytest.approx(brute_force_minimum(model), abs=1e-5)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matrix_form_agrees_with_the_model(self, seed):
+        """``to_matrices`` — what HiGHS reads — accepts exactly the points
+        :meth:`Model.is_feasible` accepts and prices them the same, up to
+        the objective constant it drops."""
+        model = random_binary_model(seed)
+        c, a_ub, b_ub, a_eq, b_eq, lb, ub = model.to_matrices()
+        assert (lb == 0.0).all() and (ub == 1.0).all()
+        for bits in itertools.product((0.0, 1.0), repeat=model.num_vars):
+            x = np.array(bits)
+            point = dict(zip(model.variables, bits))
+            in_matrices = bool(
+                (a_ub @ x <= b_ub + TOL).all() and (abs(a_eq @ x - b_eq) <= TOL).all()
+            )
+            assert in_matrices == model.is_feasible(point, tol=TOL)
+            assert c @ x + model.objective.constant == pytest.approx(
+                model.objective_value(point)
+            )
 
 
 # ----------------------------------------------------------------------
