@@ -69,10 +69,10 @@ from repro.engine.tuples import StreamTuple, input_tuple
 class NaiveContainer:
     """Faithful copy of the seed implementation (commit d17190a).
 
-    Semantics identical to the current container; costs replicated
+    Semantics identical to the current container (the seed's arrival filter
+    is left out: the current probe has none); costs replicated
     deliberately: ``latest_ts`` was a property recomputing
-    ``max(timestamps.values())`` on every access, ``arrived_before`` ran a
-    generator expression over all components, eviction re-scanned the whole
+    ``max(timestamps.values())`` on every access, eviction re-scanned the whole
     container and threw away every hash index (rebuilt on the next probe),
     predicates were re-oriented per stored candidate, results were merged
     through the plain constructor, and the pairwise window check always ran
@@ -133,10 +133,6 @@ class NaiveContainer:
         checked = 0
         for stored in index.get(probe.get(probe_attr), []):
             checked += 1
-            if not all(
-                ts < probe.trigger_ts for ts in stored.timestamps.values()
-            ):
-                continue
             ok = True
             for pred in predicates:  # the seed re-oriented per candidate
                 pa, sa = self._orient(pred, probe)

@@ -21,8 +21,8 @@ per (time bucket, attribute):
   O(1) uniform-window check; per-relation event-timestamp columns (NaN
   where a row's lineage lacks the relation) back the general pairwise
   window mask,
-* **seq column** — the runtime-assigned arrival sequence, so watermark
-  mode's visibility rule is a vectorized comparison too.
+* **seq column** — the arrival sequence number a merged row carries
+  (read only by the sharded driver's result merge).
 
 Layout and growth policy:
 
@@ -712,7 +712,6 @@ class ColumnarContainer:
         oriented: HopKey,
         windows: Mapping[str, float],
         uniform_window: Optional[float] = None,
-        seq_visibility: bool = False,
     ) -> Tuple[List[StreamTuple], int]:
         """Vectorized join-partner search (semantics of
         :func:`repro.engine.stores.probe_batch`).
@@ -720,11 +719,11 @@ class ColumnarContainer:
         Per probe, every bucket whose presence set lacks the probe's key
         code is skipped outright; in the others the whole equality key is
         resolved as one ``np.flatnonzero`` over its code column
-        (:meth:`ColumnBucket.candidates`).  Arrival visibility and the
-        window check narrow the survivor index array with O(survivors)
-        gathered comparisons.  ``checked`` counts the rows equal to the
-        probe on the whole key (the python backend's index-bucket
-        candidates), or full scans for predicate-free probes.
+        (:meth:`ColumnBucket.candidates`).  The window check narrows the
+        survivor index array with O(survivors) gathered comparisons.
+        ``checked`` counts the rows equal to the probe on the whole key
+        (the python backend's index-bucket candidates), or full scans for
+        predicate-free probes.
         """
         results: List[StreamTuple] = []
         checked = 0
@@ -744,8 +743,6 @@ class ColumnarContainer:
                     # value never stored: the python backend's index lookup
                     # comes back empty too (0 candidates checked)
                     continue
-            trigger_ts = probe.trigger_ts
-            probe_seq = probe.seq
             for bucket in buckets:
                 if key:
                     if code not in bucket.present[key]:
@@ -754,12 +751,6 @@ class ColumnarContainer:
                 else:
                     idx = np.arange(bucket.size)
                 checked += len(idx)
-                if not len(idx):
-                    continue
-                if seq_visibility:
-                    idx = idx[bucket.seq[idx] < probe_seq]
-                else:
-                    idx = idx[bucket.latest[idx] < trigger_ts]
                 if not len(idx):
                     continue
                 if uniform_window is not None:
@@ -782,13 +773,12 @@ class ColumnarContainer:
         batch: VectorBatch,
         oriented: HopKey,
         uniform_window: float,
-        seq_visibility: bool = False,
     ) -> Tuple[Optional[VectorBatch], int]:
         """One vectorized cascade hop: probe with a :class:`VectorBatch`.
 
         Semantically identical to :meth:`probe_batch` over
         ``batch.materialize()`` — same ``checked`` count (rows equal on the
-        whole key), same arrival-visibility and uniform-window narrowing,
+        whole key), same uniform-window narrowing,
         same probe-major / bucket-major / row-ascending result order, equal
         merged tuples — but batch-at-a-time: the probes sharing a whole key share its
         candidate rows, gathered once from the buckets whose presence sets
@@ -851,16 +841,10 @@ class ColumnarContainer:
             if probe_cols is None:
                 # the probe columns as (n, 1) views: a block of probes
                 # gathers a column of them to hold against its candidates
-                probe_cols = (
-                    (batch.seq if seq_visibility else batch.trigger)[:, None],
-                    batch.latest[:, None],
-                    batch.earliest[:, None],
-                )
-            probe_vis, probe_lat, probe_ear = probe_cols
+                probe_cols = (batch.latest[:, None], batch.earliest[:, None])
+            probe_lat, probe_ear = probe_cols
             c_lat = _joined([b.latest[idx] for b, idx in hits])
             c_ear = _joined([b.earliest[idx] for b, idx in hits])
-            c_seq = _joined([b.seq[idx] for b, idx in hits])
-            c_vis = c_seq if seq_visibility else c_lat
             n_cand = len(c_lat)
             checked += n_cand * len(members)
             offset = len(partners)
@@ -878,8 +862,7 @@ class ColumnarContainer:
                     for start in range(0, len(members), step)
                 ]
             for block in blocks:
-                keep = c_vis < probe_vis[block]
-                keep &= probe_lat[block] - c_ear <= uniform_window
+                keep = probe_lat[block] - c_ear <= uniform_window
                 keep &= c_lat - probe_ear[block] <= uniform_window
                 rows_hit, cols_hit = np.nonzero(keep)
                 if len(cols_hit):
@@ -896,7 +879,7 @@ class ColumnarContainer:
                     partners.extend([rows[i] for i in idx.tolist()])
                 cand_latest.append(c_lat)
                 cand_earliest.append(c_ear)
-                cand_seq.append(c_seq)
+                cand_seq.append(_joined([b.seq[idx] for b, idx in hits]))
         if not out_probe:
             return None, checked
         probe_all = _joined(out_probe)

@@ -7,7 +7,7 @@ per-stream high water, computes the watermark, or floors high waters at
 an install.  A runtime owns exactly one instance (``runtime.ingress``):
 :class:`~repro.engine.runtime.TopologyRuntime` and the sharded driver
 admit through it in ``process``, shard workers re-admit the
-driver-sequenced tuples through their own, and
+driver-numbered tuples through their own, and
 :class:`~repro.session.JoinSession` reads its runtime's instance (owning
 a private one only while a warmup is still buffering).
 
@@ -53,17 +53,17 @@ class Ingress:
     out.  All three survive rewires and are part of every engine snapshot
     (:meth:`dump` / :meth:`load`); ``bound`` comes from the configuration.
 
-    ``sequence`` says whether :meth:`admit` numbers the tuples: always in
-    watermark mode (probe visibility is decided by arrival seq), and in
-    ordered mode only for an owner that orders results by it — the sharded
-    driver's merge sets it.  Nobody else should pay an int per live tuple.
+    ``sequence`` says whether :meth:`admit` numbers the tuples.  Only the
+    sharded driver sets it, because its merge orders results by ``seq``;
+    probes never read it (the cascade order is the arrival order), so
+    nobody else should pay an int per live tuple.
     """
 
     __slots__ = ("bound", "sequence", "last_ts", "stream_high", "seq")
 
     def __init__(self, bound: Optional[float] = None) -> None:
         self.bound = bound
-        self.sequence = bound is not None
+        self.sequence = False
         self.last_ts = _NEG_INF
         self.stream_high: Dict[str, float] = {}
         self.seq = 0
@@ -85,14 +85,8 @@ class Ingress:
 
     def admit(self, tup: StreamTuple) -> None:
         """:meth:`check` ``tup``, then advance the frontier and (where
-        ``sequence`` is set) number it.
-
-        Arrival order is the call order.  A sequence number ahead of the
-        local counter was assigned upstream (the sharded driver sequences
-        tuples before fanning them out; a warmup buffer sequences before
-        the runtime exists) and is trusted; anything else gets the next
-        number, so the sequence is strictly increasing in arrival order
-        whatever the tuple carried.
+        ``sequence`` is set) number it with the next number: arrival order
+        is the call order, whatever the tuple carried.
         """
         relation, ts = tup.trigger, tup.trigger_ts
         self.check(relation, ts)
@@ -102,11 +96,8 @@ class Ingress:
         if high is None or ts > high:
             self.stream_high[relation] = ts
         if self.sequence:
-            if tup.seq > self.seq:
-                self.seq = tup.seq
-            else:
-                self.seq += 1
-                tup.seq = self.seq
+            self.seq += 1
+            tup.seq = self.seq
 
     def lag(self, relation: str, ts: float) -> float:
         """How far ``ts`` lies behind the stream's high water (≤ 0 for a

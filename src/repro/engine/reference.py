@@ -9,12 +9,8 @@ every combination of tuples (one per query relation) that satisfies all
 predicates and all pairwise window constraints.  Arrival order never enters
 the definition, which makes the same oracle valid for both engine modes —
 timestamp-ordered feeds and bounded out-of-order feeds (watermark mode)
-must reproduce exactly this set.  One caveat on ordered mode: its strict
-``arrived_before`` rule makes partners with *equal* event timestamps
-invisible to each other, so exact oracle parity there assumes distinct
-timestamps (which the continuous-time generators guarantee); watermark
-mode decides visibility by arrival sequence and carries no such
-assumption.  The join graph may be any connected shape (chain, star,
+must reproduce exactly this set, partners with equal event timestamps
+included.  The join graph may be any connected shape (chain, star,
 cycle, ...): predicates are looked up between the accumulated prefix and
 each extension relation, so cycle-closing predicates are applied as soon
 as both endpoints are covered.
@@ -83,9 +79,6 @@ def reference_join(
     # Re-trigger each result by its latest component (the tuple whose
     # arrival completes the join) for latency semantics parity.  Timestamp
     # ties are broken by relation name so the trigger is deterministic.
-    # The max-merged arrival sequence is carried over: rewire backfill feeds
-    # reference results into live watermark-mode stores, where probe
-    # visibility is decided by ``seq``.
     normalized = []
     for res in results:
         latest_rel = max(
@@ -97,7 +90,6 @@ def reference_join(
             trigger=latest_rel,
             trigger_ts=res.timestamps[latest_rel],
         )
-        out.seq = res.seq
         normalized.append(out)
     return normalized
 

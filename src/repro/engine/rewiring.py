@@ -25,10 +25,8 @@ Two subsystems drive installs: the epoch-based
 (statistics-triggered plan switches) and the session facade
 (:class:`repro.JoinSession`), whose online ``add_query`` / ``remove_query``
 replan between pushed tuples.  Watermark mode composes with rewiring: the
-arrival-sequence counter and per-stream high waters live on the runtime's
-:class:`~repro.engine.ingress.Ingress` and survive the switch, and
-backfilled intermediates carry the max-merged arrival sequence of their
-components, so seq-based probe visibility stays exact across a rewire.
+per-stream high waters live on the runtime's
+:class:`~repro.engine.ingress.Ingress` and survive the switch.
 """
 
 from __future__ import annotations
@@ -97,9 +95,7 @@ def compute_backfill(
     maintenance query (``tests/engine/test_backfill.py``): same order
     (lexicographic in the components' positions in ``streams``, relations in
     name order), each intermediate merged in name order, triggered by its
-    latest component (ties to the first name) and carrying the max-merged
-    arrival sequence of its components, which keeps seq-based probe
-    visibility exact under watermark mode.  Equality is the oracle's as
+    latest component (ties to the first name).  Equality is the oracle's as
     well: ``None`` (a missing attribute included) equals ``None``, ``1 ==
     1.0 == True``, and NaN joins nothing.
     """
@@ -155,7 +151,6 @@ def compute_backfill(
             trigger=latest,
             trigger_ts=merged.timestamps[latest],
         )
-        out.seq = merged.seq
         intermediates.append(out)
     return intermediates
 
@@ -270,7 +265,7 @@ class RewirableRuntime(TopologyRuntime):
         bound; every recorded eviction horizon lay at or below the
         watermark at the time, so the comparison is exact).
         """
-        reference = self.watermark() if self._seq_visibility else now
+        reference = self.watermark() if self.ingress.bound is not None else now
         for store_id in diff.surviving:
             spec = topology.stores[store_id]
             for task in self.tasks.get(store_id, []):

@@ -15,11 +15,11 @@ Hot-path design (see docs/engine.md):
 * Inputs drain in micro-batches: consecutive tuples of the
   same relation share one cascade, and every inter-task hop carries a
   *batch* of tuples, so hash-index resolution and metrics bookkeeping are
-  amortized across the batch.  Batching is sound because (a) cascades
+  amortized across the batch.  Batching is sound because cascades
   triggered by the same relation never interact — probes only target
   stores whose lineage is disjoint from the probing tuple, stores always
-  target lineage-containing stores — and (b) the strict ``arrived_before``
-  order makes same-trigger tuples invisible to each other.  A plan switch
+  target lineage-containing stores — so no tuple of the batch can reach
+  the partial results of another.  A plan switch
   (``install``) flushes the pending micro-batch first, so it always falls
   between two inputs.
 * The deployed topology is compiled into a tree of hops per ingest
@@ -41,27 +41,22 @@ Hot-path design (see docs/engine.md):
 Out-of-order arrivals (watermark mode): setting
 ``RuntimeConfig.disorder_bound`` declares that event timestamps within each
 input stream lag its arrival order by at most that bound.  The arrival
-contract itself — order check, arrival sequence numbers, per-stream high
-waters, the watermark — is owned by :class:`~repro.engine.ingress.Ingress`
-(``runtime.ingress``); the runtime then
+contract itself — order check, per-stream high waters, the watermark — is
+owned by :class:`~repro.engine.ingress.Ingress` (``runtime.ingress``); the
+runtime then
 
-* decides probe visibility by the arrival sequence number
-  (``seq_visibility`` in :func:`probe_batch`) — a stored partner may carry
-  a later event timestamp than the probing tuple, as long as it *arrived*
-  earlier,
 * evicts against the global *watermark* (min over ingest streams of high
   water − bound) instead of the current event time, so partners a late
   straggler still needs are retained until the watermark passes them,
 * rejects inputs that violate the declared bound (late beyond watermark)
   instead of silently dropping results.
 
-The brute-force reference is defined purely on event timestamps, so the
-differential harness proves both modes against the same oracle; with the
-distinct event timestamps the generators produce, watermark-mode result
-sets are bit-identical to the in-order run.  (Under exact timestamp ties
-the modes differ: ordered mode's strict ``arrived_before`` rule hides
-simultaneous partners from each other, while seq-based visibility — and
-the reference — joins them.)
+Neither mode filters probe candidates by arrival: the cascade order is
+the visibility rule, so a stored partner may carry a later event timestamp
+than the probing tuple (watermark mode) or an equal one (both modes) and
+still joins.  The brute-force reference is defined purely on event
+timestamps, so the differential harness proves both modes against the
+same oracle.
 """
 
 from __future__ import annotations
@@ -400,9 +395,6 @@ class TopologyRuntime(Runtime):
         self._uniform_window: Optional[float] = None
         #: the compiled plan: ingest relation -> the hops its inputs take
         self._plan: Dict[str, Tuple[_Hop, ...]] = {}
-        #: watermark mode: probe visibility by arrival seq, eviction against
-        #: the watermark
-        self._seq_visibility = self.config.disorder_bound is not None
         # Push-driver state: the pending same-relation micro-batch.
         self._group: List[StreamTuple] = []
         self._group_rel: Optional[str] = None
@@ -590,11 +582,11 @@ class TopologyRuntime(Runtime):
 
         This is the incremental entry point behind :meth:`run` and the
         :class:`~repro.session.JoinSession` facade: admission (arrival-order
-        validation and arrival-sequence assignment, :meth:`Runtime._admit`)
-        and micro-batch accumulation happen here.  A cascade may be
-        *deferred* until the pending same-relation micro-batch flushes
-        (relation change, full batch, or an explicit :meth:`flush`), which
-        never changes result sets — only when they materialize.
+        validation, :meth:`Runtime._admit`) and micro-batch accumulation
+        happen here.  A cascade may be *deferred* until the pending
+        same-relation micro-batch flushes (relation change, full batch, or
+        an explicit :meth:`flush`), which never changes result sets — only
+        when they materialize.
         """
         if self._admit(tup):
             self._accept(tup)
@@ -699,7 +691,6 @@ class TopologyRuntime(Runtime):
                         else VectorBatch.from_tuples(batch),
                         key,
                         cast(float, self._uniform_window),
-                        self._seq_visibility,
                     )
                 else:
                     matches, checked = probe_batch(
@@ -708,7 +699,6 @@ class TopologyRuntime(Runtime):
                         key,
                         self.windows,
                         self._uniform_window,
-                        self._seq_visibility,
                     )
                 metrics.probes_executed += len(batch)
                 metrics.comparisons += checked
@@ -769,7 +759,7 @@ class TopologyRuntime(Runtime):
         if self._ops_since_evict < self.config.evict_every:
             return
         self._ops_since_evict = 0
-        if self._seq_visibility:
+        if self.ingress.bound is not None:
             # Watermark mode: the current input's event time may lie ahead
             # of a straggler still to come; evict against the watermark,
             # which every future arrival's timestamps are guaranteed to

@@ -749,8 +749,8 @@ class ShardedRuntime(Runtime):
         if transport not in ("process", "inline"):
             raise ValueError(f"unknown transport {transport!r}")
         self.transport = transport
-        # flush() merges the shards' emissions by arrival seq, so the
-        # driver numbers its inputs in ordered mode too
+        # flush() merges the shards' emissions by arrival seq: the driver
+        # is the one owner that numbers its inputs
         self.ingress.sequence = True
         self.router = ShardRouter.from_topology(topology, self.config.workers)
         self.num_shards = self.router.num_shards
@@ -804,9 +804,8 @@ class ShardedRuntime(Runtime):
         The driver owns the global arrival contract: late decisions are
         made here (:meth:`Runtime._admit`) against the authoritative
         per-stream high waters — workers only ever see accepted tuples —
-        and the assigned arrival seq is trusted by every worker, so
-        seq-based probe visibility is globally consistent and the merge in
-        :meth:`flush` can order emissions by it in ordered mode too.
+        and assigns the arrival seq the merge in :meth:`flush` orders
+        emissions by (workers keep it: their ingress does not number).
         """
         if not self._admit(tup):
             return

@@ -106,7 +106,7 @@ class StoreBackend(Protocol):
 
     Probing is an either/or obligation the protocol cannot express: a
     backend must *either* expose its own ``probe_batch(probes, oriented,
-    windows, uniform_window, seq_visibility)`` method — :func:`probe_batch`
+    windows, uniform_window)`` method — :func:`probe_batch`
     dispatches to it when present, which is how the columnar backend routes
     probes through its vectorized path without the runtime knowing about
     backends at all — *or* implement ``index_on(key)`` (a hash index on the
@@ -582,7 +582,6 @@ def probe_batch(
     oriented: HopKey,
     windows: Dict[str, float],
     uniform_window: Optional[float] = None,
-    seq_visibility: bool = False,
 ) -> Tuple[List[StreamTuple], int]:
     """Find join partners for a batch of same-lineage probe tuples.
 
@@ -592,28 +591,23 @@ def probe_batch(
 
     The lookup is on the hop's whole equality key (``oriented``, from
     :func:`orient_predicates`): ``checked`` counts the stored tuples equal
-    to the probe on *every* equality attribute, and only arrival
-    visibility and the window check run per candidate.  A predicate-free
-    hop scans the store.
+    to the probe on *every* equality attribute, and only the window check
+    runs per candidate.  A predicate-free hop scans the store.
 
     Backends that implement their own ``probe_batch`` (the columnar
     backend's vectorized path) are dispatched to directly — same
     semantics, different candidate-finding machinery.
 
-    ``seq_visibility`` selects the arrival-visibility rule.  The default
-    (event-time) rule assumes timestamp order doubles as arrival order and
-    admits partners with ``latest_ts`` strictly before the probe's trigger.
-    Under bounded out-of-order arrival that assumption breaks — a stored
-    partner may carry a *later* event timestamp yet have arrived earlier —
-    so watermark mode decides visibility by the runtime-assigned arrival
-    sequence number instead: partners must have ``seq`` strictly below the
-    probe's.  Each result combination is still produced exactly once (by
-    the cascade of its last-arriving component); windows remain event-time
-    based in both modes.
+    No arrival rule runs here: the runtime processes inputs in arrival
+    order and finishes each cascade before admitting the next input, and a
+    probe never targets a store holding its own relation, so every stored
+    candidate arrived before the probe.  Each result combination is
+    produced once, by the cascade of its last-arriving component, and
+    partners with equal event timestamps join.
     """
     vectorized = getattr(container, "probe_batch", None)
     if vectorized is not None:
-        return vectorized(probes, oriented, windows, uniform_window, seq_visibility)
+        return vectorized(probes, oriented, windows, uniform_window)
     results: List[StreamTuple] = []
     checked = 0
     if not probes or not len(container):
@@ -640,15 +634,8 @@ def probe_batch(
             candidates = index.get(tuple([get(attr) for attr in probe_attrs]))
         if not candidates:
             continue
-        trigger_ts = probe.trigger_ts
-        probe_seq = probe.seq
         for stored in candidates:
             checked += 1
-            if seq_visibility:
-                if stored.seq >= probe_seq:
-                    continue
-            elif stored.latest_ts >= trigger_ts:
-                continue
             if uniform_window is not None:
                 if not probe.within_uniform_window(stored, uniform_window):
                     continue
@@ -664,20 +651,14 @@ def probe_container(
     predicates: Tuple[JoinPredicate, ...],
     windows: Dict[str, float],
     count_comparisons: Optional[Callable[[int], None]] = None,
-    seq_visibility: bool = False,
 ) -> List[StreamTuple]:
     """Find all join partners of ``probe`` in ``container``.
 
     Single-tuple convenience wrapper over :func:`probe_batch` (kept for the
     public API and tests; the runtime drives the batch path directly).
-    Pass ``seq_visibility=True`` when probing state built by a
-    watermark-mode runtime, so visibility follows arrival sequence numbers
-    the way the runtime's own probe path does.
     """
     oriented = orient_predicates(predicates, probe.lineage)
-    results, checked = probe_batch(
-        container, (probe,), oriented, windows, seq_visibility=seq_visibility
-    )
+    results, checked = probe_batch(container, (probe,), oriented, windows)
     if count_comparisons is not None:
         count_comparisons(checked)
     return results

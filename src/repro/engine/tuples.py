@@ -6,12 +6,11 @@ A :class:`StreamTuple` is either a raw input tuple or a partial join result
 * ``values`` — qualified attribute name → value,
 * ``timestamps`` — per contributing relation, the event timestamp τ,
 * ``trigger`` / ``trigger_ts`` — the input relation/timestamp that initiated
-  the probe chain; join partners must all have arrived strictly before it,
-* ``seq`` — the wall-clock *arrival* sequence number assigned by the runtime
-  at ingest (0 until assigned).  With perfectly ordered arrivals the event
-  timestamp doubles as the arrival order, but under bounded out-of-order
-  arrival (watermark mode) the two diverge: probe visibility is then decided
-  by ``seq`` while windows and eviction stay event-time based.
+  the probe chain,
+* ``seq`` — the *arrival* sequence number, assigned at ingest only where
+  something reads it (the sharded driver's result merge; the timed
+  simulator numbers its own inputs), 0 elsewhere.  A single-process
+  engine never reads it: its cascade order is the arrival order.
 
 A join result is a *reference*, not a copy: :meth:`StreamTuple.merge` links
 its two parents and sets only the scalars every hop reads (``trigger``,
@@ -225,14 +224,11 @@ class StreamTuple:
         a, b = self.earliest_ts, other.earliest_ts
         merged.earliest_ts = a if a <= b else b
         merged.lineage = lineage
-        # last-arriving component: decides visibility under out-of-order mode
+        # the last-arriving component's number: the sharded merge orders
+        # results by it
         i, j = self.seq, other.seq
         merged.seq = i if i >= j else j
         return merged
-
-    def arrived_before(self, other_trigger_ts: float) -> bool:
-        """True if *all* components arrived strictly before the trigger."""
-        return self.latest_ts < other_trigger_ts
 
     def within_windows(
         self, other: "StreamTuple", windows: Mapping[str, float]

@@ -26,6 +26,12 @@ up front (the heap is ordered by event timestamp, so out-of-order arrival is
 meaningless and ``disorder_bound`` is refused), inputs are not
 arrival-validated, and results are *nearly* complete rather than exact — an
 in-flight probe can miss a partner whose store message is still queued.
+
+It is also the one place where messages race: an earlier input's probe can
+reach a store after a later input's tuple was stored there.  So, unlike the
+push engine, it keeps an arrival rule: inputs are numbered in the order
+they are processed, and a probe keeps only the partners whose components
+all arrived before its own (:meth:`TimedSimulator._apply_rules`).
 """
 
 from __future__ import annotations
@@ -210,6 +216,7 @@ class TimedSimulator(RewirableRuntime):
         # overflow point is defined per event) forces per-tuple events.
         heap: List[_Event] = []
         seq = itertools.count()
+        arrivals = itertools.count(1)
         loop = self.loop
         per_tuple = loop is not None or self.config.memory_limit_units is not None
         cap = 1 if per_tuple else self.config.batch_size
@@ -235,6 +242,7 @@ class TimedSimulator(RewirableRuntime):
                     if metrics.failed:
                         break
                     at = tup.trigger_ts
+                    tup.seq = next(arrivals)
                     if loop is not None:
                         loop.advance(at)
                     metrics.on_input(at)
@@ -333,7 +341,10 @@ class TimedSimulator(RewirableRuntime):
                 self.metrics.on_probe_batch(1, checked)
                 checked_total += checked
                 for match in matches:
-                    emissions.append((match, rule.outputs, rule.out_edges))
+                    # merge keeps the larger seq: equal to the probe's means
+                    # the stored side arrived earlier (lineages are disjoint)
+                    if match.seq == tup.seq:
+                        emissions.append((match, rule.outputs, rule.out_edges))
         return emissions, checked_total, stored
 
     def _check_memory(self) -> None:

@@ -1335,11 +1335,14 @@ class JoinSession:
         *stored* at that point (a rewire that released an input store drops
         its windowed tuples for good; results needing them are not
         expected, matching :meth:`add_query`'s documented semantics).
-        Assumes per-relation event
-        timestamps are distinct (the synthetic generators guarantee this);
-        duplicate ``(relation, ts)`` pushes make the seq lookup ambiguous.
-        A warmup still buffering is drained first (the comparison needs the
-        runtime's results, so verification ends the warmup early).
+        Tuples of different relations may share an event timestamp: they
+        join, and the oracle expects them to.  Only two pushes of the
+        *same* relation at one timestamp matter, and only under churn (an
+        activation interval or a released store): the session's
+        ``(relation, ts)`` → push-index lookup is then ambiguous, and this
+        raises :class:`SessionError` rather than guess.  A warmup still
+        buffering is drained first (the comparison needs the runtime's
+        results, so verification ends the warmup early).
         """
         if not self.record_streams:
             raise SessionError(

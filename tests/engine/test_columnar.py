@@ -165,17 +165,22 @@ class TestColumnarEviction:
 
 
 class TestColumnarProbing:
-    def test_seq_visibility_vectorized(self):
+    def test_tied_and_event_later_rows_join(self):
+        from repro.engine.columnar import VectorBatch
+
         cont = ColumnarContainer(bucket_width=1.0)
-        # later event time but earlier arrival: visible under seq rule only
-        cont.insert(s_tuple(5.0, a=1, seq=1))
-        cont.insert(s_tuple(2.0, a=1, seq=3))
+        # no arrival rule: earlier, tied and event-later rows all join
+        for ts in (2.0, 3.0, 5.0):
+            cont.insert(s_tuple(ts, a=1))
         probe = input_tuple("R", 3.0, {"a": 1})
-        probe.seq = 2
-        ordered, _ = probe_batch(cont, (probe,), ORIENTED, WINDOWS, 10.0, False)
-        assert [r.timestamps["S"] for r in ordered] == [2.0]
-        watermark, _ = probe_batch(cont, (probe,), ORIENTED, WINDOWS, 10.0, True)
-        assert [r.timestamps["S"] for r in watermark] == [5.0]
+        results, _ = probe_batch(cont, (probe,), ORIENTED, WINDOWS, 10.0)
+        assert [r.timestamps["S"] for r in results] == [2.0, 3.0, 5.0]
+        vector, _ = cont.probe_batch_vector(
+            VectorBatch.from_tuples([probe]), ORIENTED, 10.0
+        )
+        assert [r.key() for r in vector.materialize()] == [
+            r.key() for r in results
+        ]
 
     def test_non_uniform_windows_use_min_pairwise_bound(self):
         cont = ColumnarContainer(bucket_width=1.0)
@@ -197,32 +202,30 @@ class TestColumnarProbing:
         assert len(results) == 3 and checked == 3
 
     @pytest.mark.parametrize("uniform", [None, 4.0])
-    @pytest.mark.parametrize("seq_visibility", [False, True])
-    def test_randomized_parity_with_python_backend(self, uniform, seq_visibility):
+    @pytest.mark.parametrize("grid", [None, 0.25], ids=["continuous", "grid"])
+    def test_randomized_parity_with_python_backend(self, uniform, grid):
         """1.5k random inserts/probes/evictions: identical results, checked
-        counts, and freed widths across both backends."""
-        rng = random.Random(17 * (2 if uniform else 1) + int(seq_visibility))
+        counts, and freed widths across both backends (on the grid, many
+        probes tie with stored rows and window edges)."""
+        rng = random.Random(17 * (2 if uniform else 1) + int(grid is not None))
         py, col = Container(bucket_width=1.0), ColumnarContainer(bucket_width=1.0)
         windows = {"R": 4.0, "S": 4.0} if uniform else {"R": 5.0, "S": 3.0}
         t = 0.0
         for i in range(1500):
             t += rng.random() * 0.05
-            tup = s_tuple(t, a=rng.randrange(5), b=rng.randrange(6), seq=i + 1)
+            ts = t if grid is None else t // grid * grid
+            tup = s_tuple(ts, a=rng.randrange(5), b=rng.randrange(6))
             py.insert(tup)
             col.insert(tup)
             if i % 5 == 0:
+                at = t + rng.random()
                 probe = input_tuple(
                     "R",
-                    t + rng.random(),
+                    at if grid is None else at // grid * grid,
                     {"a": rng.randrange(5), "b": rng.randrange(6)},
                 )
-                probe.seq = i + 2
-                r1, c1 = probe_batch(
-                    py, (probe,), ORIENTED2, windows, uniform, seq_visibility
-                )
-                r2, c2 = probe_batch(
-                    col, (probe,), ORIENTED2, windows, uniform, seq_visibility
-                )
+                r1, c1 = probe_batch(py, (probe,), ORIENTED2, windows, uniform)
+                r2, c2 = probe_batch(col, (probe,), ORIENTED2, windows, uniform)
                 assert sorted(x.key() for x in r1) == sorted(x.key() for x in r2)
                 assert c1 == c2
             if i % 40 == 39:
@@ -273,39 +276,34 @@ class TestVectorBatch:
         assert out.earliest.tolist() == [expected.earliest_ts]
         assert out.lineage == frozenset({"R", "S"})
 
-    @pytest.mark.parametrize("seq_visibility", [False, True])
-    def test_vector_probe_parity_randomized(self, seq_visibility):
+    @pytest.mark.parametrize("grid", [None, 0.25], ids=["continuous", "grid"])
+    def test_vector_probe_parity_randomized(self, grid):
         """``probe_batch_vector`` == ``probe_batch`` over materialized
         probes: same results, same order, same checked counts."""
         from repro.engine.columnar import VectorBatch
 
-        rng = random.Random(99 + int(seq_visibility))
+        def on_grid(ts):
+            return ts if grid is None else ts // grid * grid
+
+        rng = random.Random(99 + int(grid is not None))
         cont = ColumnarContainer(bucket_width=1.0)
         t = 0.0
-        for i in range(300):
+        for _ in range(300):
             t += rng.random() * 0.1
-            cont.insert(
-                s_tuple(t, a=rng.randrange(4), b=rng.randrange(5), seq=i + 1)
-            )
-        probes = []
-        for _ in range(40):
-            p = input_tuple(
+            cont.insert(s_tuple(on_grid(t), a=rng.randrange(4), b=rng.randrange(5)))
+        probes = [
+            input_tuple(
                 "R",
-                rng.uniform(1.0, t + 1.0),
+                on_grid(rng.uniform(1.0, t + 1.0)),
                 {"a": rng.randrange(5), "b": rng.randrange(6)},
             )
-            p.seq = rng.randrange(1, 320)
-            probes.append(p)
+            for _ in range(40)
+        ]
         expected, c1 = probe_batch(
-            cont,
-            tuple(probes),
-            ORIENTED2,
-            {"R": 4.0, "S": 4.0},
-            4.0,
-            seq_visibility,
+            cont, tuple(probes), ORIENTED2, {"R": 4.0, "S": 4.0}, 4.0
         )
         vb, c2 = cont.probe_batch_vector(
-            VectorBatch.from_tuples(probes), ORIENTED2, 4.0, seq_visibility
+            VectorBatch.from_tuples(probes), ORIENTED2, 4.0
         )
         got = [] if vb is None else vb.materialize()
         assert c1 == c2
@@ -341,26 +339,20 @@ class TestVectorBatch:
             )
             p.seq = rng.randrange(1, 170)
             probes.append(p)
-        for seq_visibility in (False, True):
-            expected, c1 = probe_batch(
-                cont,
-                tuple(probes),
-                oriented,
-                {"R": 2.0, "S": 2.0},
-                2.0,
-                seq_visibility,
-            )
-            vb, c2 = cont.probe_batch_vector(
-                VectorBatch.from_tuples(probes), oriented, 2.0, seq_visibility
-            )
-            assert expected and vb is not None
-            got = vb.materialize()
-            assert c1 == c2
-            assert [g.key() for g in got] == [e.key() for e in expected]
-            assert vb.trigger.tolist() == [e.trigger_ts for e in expected]
-            assert vb.latest.tolist() == [e.latest_ts for e in expected]
-            assert vb.earliest.tolist() == [e.earliest_ts for e in expected]
-            assert vb.seq.tolist() == [e.seq for e in expected]
+        expected, c1 = probe_batch(
+            cont, tuple(probes), oriented, {"R": 2.0, "S": 2.0}, 2.0
+        )
+        vb, c2 = cont.probe_batch_vector(
+            VectorBatch.from_tuples(probes), oriented, 2.0
+        )
+        assert expected and vb is not None
+        got = vb.materialize()
+        assert c1 == c2
+        assert [g.key() for g in got] == [e.key() for e in expected]
+        assert vb.trigger.tolist() == [e.trigger_ts for e in expected]
+        assert vb.latest.tolist() == [e.latest_ts for e in expected]
+        assert vb.earliest.tolist() == [e.earliest_ts for e in expected]
+        assert vb.seq.tolist() == [e.seq for e in expected]
 
     def test_two_hops_merge_only_what_is_read(self, monkeypatch):
         """A survivor of a vector hop is merged when it is read, once, and

@@ -18,6 +18,11 @@ Covered axes (≥ 24 seeded workloads each):
 * **zipf** — Zipf-skewed join attributes over all three shapes,
 * **ooo** — bounded out-of-order arrival feeds consumed in watermark mode
   (``RuntimeConfig.disorder_bound``) over all three shapes,
+* **grid** — the star, cycle, sharded and out-of-order feeds again with
+  every timestamp floored to a 0.25 grid, so partners tie within and
+  across relations (the generators' continuous timestamps never do),
+  plus a whole-second tie matrix (shape × backend × workers, ordered and
+  watermark),
 
 plus the cross-product invariances (shape × disorder × batch size ×
 eviction cadence), the unequal-window sharing matrix (the O(1)
@@ -31,7 +36,7 @@ decision-for-decision and switch-for-switch, ordered/watermark ×
 chain/star × seeds × workers 1/2 inline).
 
 This suite is the regression net for hot-path refactors (batched cascades,
-incremental eviction, orientation caching, seq-based visibility): any
+incremental eviction, orientation caching, the visibility rule): any
 semantic drift shows up as a result-set difference on at least one seed.
 """
 
@@ -54,6 +59,7 @@ from repro.engine import (
     RuntimeConfig,
     TopologyRuntime,
     describe_result_diff,
+    input_tuple,
     reference_join,
     result_keys,
 )
@@ -61,6 +67,7 @@ from repro.streams.generators import (
     StreamSpec,
     bounded_delay_feed,
     generate_streams,
+    merge_streams,
     uniform_domain,
     zipf_domain,
 )
@@ -167,8 +174,33 @@ def _make_streams(rng, queries, attrs, duration, domain_gen, seed):
 _SHAPE_SALT = {"chain": 0, "star": 0x51A2, "cycle": 0xC1C1}
 
 
-def random_workload(seed: int, shape: str = "chain", skew: bool = False):
-    """Random queries, streams, windows, and parallelism for one seed."""
+#: the timestamp axis: continuous (the generators' distinct timestamps), or
+#: floored to a 0.25 grid, where ties within and across relations abound
+GRIDS = pytest.mark.parametrize("grid", [None, 0.25], ids=["continuous", "grid"])
+
+
+def on_grid(streams, grid):
+    """``streams`` with every event timestamp floored to a multiple of
+    ``grid``, and their merged feed (still in timestamp order)."""
+    floored = {
+        rel: [
+            input_tuple(
+                rel,
+                tup.trigger_ts // grid * grid,
+                {attr.split(".", 1)[1]: v for attr, v in tup.values.items()},
+            )
+            for tup in tuples
+        ]
+        for rel, tuples in streams.items()
+    }
+    return floored, merge_streams(floored)
+
+
+def random_workload(
+    seed: int, shape: str = "chain", skew: bool = False, grid=None
+):
+    """Random queries, streams, windows, and parallelism for one seed
+    (timestamps floored to ``grid`` when one is given)."""
     rng = random.Random(seed ^ _SHAPE_SALT[shape])
     if shape == "chain":
         queries = random_queries(rng)
@@ -199,6 +231,8 @@ def random_workload(seed: int, shape: str = "chain", skew: bool = False):
     relations, streams, inputs = _make_streams(
         rng, queries, attrs, duration, domain_gen, seed
     )
+    if grid is not None:
+        streams, inputs = on_grid(streams, grid)
 
     if rng.random() < 0.5:
         windows = {rel: rng.choice([1.5, 3.0, 6.0]) for rel in relations}
@@ -297,10 +331,11 @@ class TestDifferentialLogical:
 class TestDifferentialShapes:
     """Star and cyclic join graphs: engine == reference per seeded workload."""
 
+    @GRIDS
     @pytest.mark.parametrize("seed", range(24))
-    def test_star_workload_exact(self, seed):
+    def test_star_workload_exact(self, seed, grid):
         queries, relations, streams, inputs, windows, parallelism = (
-            random_workload(seed, shape="star")
+            random_workload(seed, shape="star", grid=grid)
         )
         topology = compile_topology(queries, relations, windows, parallelism, seed)
         runtime = TopologyRuntime(
@@ -309,10 +344,11 @@ class TestDifferentialShapes:
         runtime.run(inputs)
         assert_engine_equals_reference(runtime, queries, streams, windows)
 
+    @GRIDS
     @pytest.mark.parametrize("seed", range(24))
-    def test_cycle_workload_exact(self, seed):
+    def test_cycle_workload_exact(self, seed, grid):
         queries, relations, streams, inputs, windows, parallelism = (
-            random_workload(seed, shape="cycle")
+            random_workload(seed, shape="cycle", grid=grid)
         )
         topology = compile_topology(
             queries, relations, windows, parallelism, seed, solver="greedy"
@@ -416,11 +452,12 @@ class TestDifferentialOutOfOrder:
     exactly the in-order result set.
     """
 
+    @GRIDS
     @pytest.mark.parametrize("seed", range(24))
-    def test_out_of_order_workload_exact(self, seed):
+    def test_out_of_order_workload_exact(self, seed, grid):
         shape = ("chain", "star", "cycle")[seed % 3]
         queries, relations, streams, inputs, windows, parallelism = (
-            random_workload(seed, shape=shape)
+            random_workload(seed, shape=shape, grid=grid)
         )
         rng = random.Random(seed ^ 0x00F)
         bound = rng.choice([0.5, 1.0, 2.5])
@@ -483,6 +520,52 @@ class TestDifferentialOutOfOrder:
         runtime.run(feed)
         assert runtime.metrics.stored_units < runtime.metrics.peak_stored_units
         assert_engine_equals_reference(runtime, queries, streams, windows)
+
+
+#: the tie matrix's join graphs
+TIE_SHAPES = {
+    "chain2": ("R.a=S.a",),
+    "chain3": ("R.a=S.a", "S.b=T.b"),
+    "star": ("H.a=A.a", "H.b=B.b", "H.c=C.c"),
+}
+
+
+class TestDifferentialTies:
+    """Equal event timestamps join, in both arrival modes.
+
+    Every relation pushes one tuple per whole second, its push order within
+    the second alternating, so partners tie or lie whole seconds apart —
+    on the edge of the 2 s window included.  Each shape × backend ×
+    workers cell must equal the oracle in ordered mode, and watermark mode
+    must produce the same result set.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    @pytest.mark.parametrize("shape", sorted(TIE_SHAPES))
+    def test_equal_timestamps_join(self, shape, backend, workers):
+        from repro import JoinSession
+
+        query = Query.of("q", *TIE_SHAPES[shape])
+        relations = sorted(query.relations)
+        produced = {}
+        for bound in (None, 1.0):
+            session = JoinSession(
+                window=2.0,
+                disorder_bound=bound,
+                store_backend=backend,
+                workers=workers,
+                worker_transport="inline",
+            ).add_query(query)
+            for second in range(8):
+                for rel in relations if second % 2 else relations[::-1]:
+                    session.push(rel, dict.fromkeys("abc", second % 2), second)
+            check = session.verify().checks["q"]
+            assert check.ok, check.diff
+            assert check.produced > 0
+            produced[bound] = result_keys(session.results("q"))
+            session.close()
+        assert produced[None] == produced[1.0]
 
 
 class TestDifferentialUnequalWindows:
@@ -693,7 +776,7 @@ class TestDifferentialBackends:
                     replace(config, workers=workers),
                     transport="inline",
                 )
-            runtime.run(_fresh_feed(feed))
+            runtime.run(feed)
             summaries[backend] = self._summary(runtime)
             results[backend] = {
                 q.name: result_keys(runtime.results(q.name)) for q in queries
@@ -724,7 +807,7 @@ class TestDifferentialBackends:
             runtime = RewirableRuntime(
                 topology, windows, RuntimeConfig(store_backend=backend)
             )
-            _fresh_feed(feed)
+            feed
             runtime.run(feed[:cut])
             runtime.install(topology, now=feed[cut - 1].trigger_ts)
             runtime.run(feed[cut:])
@@ -831,18 +914,6 @@ class TestDifferentialAdaptive:
         assert_engine_equals_reference(runtime, [query], streams, windows)
 
 
-def _fresh_feed(feed):
-    """Reset arrival sequence numbers so a feed can be replayed.
-
-    The drivers assign (and trust pre-assigned) ``StreamTuple.seq``; replaying
-    the same tuple objects through a second runtime must start from a clean
-    slate or the second run would inherit the first run's sequencing.
-    """
-    for tup in feed:
-        tup.seq = 0
-    return feed
-
-
 class TestDifferentialSharded:
     """Shard axis: ``workers`` ∈ {1, 2, 4} crossed against shape × backend ×
     arrival mode — result sets *and* the driver-owned metrics must exactly
@@ -855,9 +926,10 @@ class TestDifferentialSharded:
     processes on a sample of the same workloads.
     """
 
+    @GRIDS
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("seed", range(12))
-    def test_shard_axis_exact(self, seed, workers):
+    def test_shard_axis_exact(self, seed, workers, grid):
         from dataclasses import replace
 
         from repro.engine import ShardedRuntime
@@ -865,7 +937,7 @@ class TestDifferentialSharded:
         shape = ("chain", "star", "cycle")[seed % 3]
         backend = ("python", "columnar")[seed % 2]
         queries, relations, streams, inputs, windows, parallelism = (
-            random_workload(seed, shape=shape)
+            random_workload(seed, shape=shape, grid=grid)
         )
         if seed % 4 < 2:  # watermark arrivals on half the seeds
             bound = random.Random(seed ^ 0x5A).choice([0.5, 1.0, 2.0])
@@ -881,12 +953,12 @@ class TestDifferentialSharded:
             disorder_bound=bound, store_backend=backend
         )
         base = TopologyRuntime(topology, windows, config)
-        base.run(_fresh_feed(feed))
+        base.run(feed)
         sharded = ShardedRuntime(
             topology, windows, replace(config, workers=workers),
             transport="inline",
         )
-        sharded.run(_fresh_feed(feed))
+        sharded.run(feed)
         assert_engine_equals_reference(sharded, queries, streams, windows)
         for query in queries:
             assert result_keys(sharded.results(query.name)) == result_keys(
@@ -919,12 +991,12 @@ class TestDifferentialSharded:
         config = RuntimeConfig(disorder_bound=1.0)
         feed = list(bounded_delay_feed(streams, 1.0, seed=seed))
         base = TopologyRuntime(topology, windows, config)
-        base.run(_fresh_feed(feed))
+        base.run(feed)
         with ShardedRuntime(
             topology, windows, replace(config, workers=2),
             transport="process",
         ) as sharded:
-            sharded.run(_fresh_feed(feed))
+            sharded.run(feed)
             assert_engine_equals_reference(sharded, queries, streams, windows)
             assert (
                 sharded.metrics.results_per_query
@@ -954,12 +1026,12 @@ class TestDifferentialSharded:
         topology = compile_topology(queries, ["R", "S"], windows, 2, 17)
         config = RuntimeConfig()
         base = TopologyRuntime(topology, windows, config)
-        base.run(_fresh_feed(list(inputs)))
+        base.run(inputs)
         sharded = ShardedRuntime(
             topology, windows, replace(config, workers=3), transport="inline"
         )
         assert sharded.router.metrics_exact, sharded.router.describe()
-        sharded.run(_fresh_feed(list(inputs)))
+        sharded.run(inputs)
         assert_engine_equals_reference(sharded, queries, streams, windows)
         for field in (
             "messages_sent",
@@ -1007,7 +1079,7 @@ class TestDifferentialVectorized:
                     vectorized_cascades=vectorized,
                 ),
             )
-            runtime.run(_fresh_feed(feed))
+            runtime.run(feed)
             m = runtime.metrics
             summaries[vectorized] = (
                 m.inputs_ingested,
@@ -1172,7 +1244,7 @@ class TestDifferentialUnifiedAdaptivity:
             session.with_window(rel, window)
         for query in queries:
             session.add_query(query)
-        session.push_batch(_fresh_feed(feed))
+        session.push_batch(feed)
         session.flush()
         report = session.verify()
         assert report.ok, report.describe()
@@ -1180,7 +1252,7 @@ class TestDifferentialUnifiedAdaptivity:
         controller, twin = self._twin(
             queries, relations, windows, parallelism, bound, solver
         )
-        twin.run(_fresh_feed(feed))
+        twin.run(feed)
 
         # decision-for-decision: every epoch boundary consulted the
         # optimizer with the same measured statistics → same records

@@ -3,7 +3,8 @@
 Unit cases pin each verb of the contract; the property at the end is the
 "one contract" claim as an executable statement — every way into the
 engine (bare runtime, sharded driver, session, session behind a warmup
-buffer) hands the same feed the same verdicts and the same arrival seqs.
+buffer) hands the same feed the same verdicts, and only the sharded
+driver, whose merge reads them, hands out arrival seqs.
 Result parity across those axes is ``test_differential.py``'s job and is
 not repeated here.
 """
@@ -45,10 +46,11 @@ class TestOrdered:
         for item in feed:
             ingress.admit(item)
         assert ingress.last_ts == 2.5
-        # nothing reads arrival seqs in ordered mode: none are handed out
+        # only the sharded driver's merge reads arrival seqs: by default
+        # none are handed out
         assert [t.seq for t in feed] == [0, 0, 0] and ingress.seq == 0
 
-    def test_an_owner_that_orders_by_seq_gets_them_in_ordered_mode_too(self):
+    def test_an_owner_that_orders_by_seq_gets_them(self):
         ingress = Ingress()
         ingress.sequence = True  # what the sharded driver sets for its merge
         feed = [tup("R", 1.0), tup("S", 1.0), tup("R", 2.5)]
@@ -76,6 +78,8 @@ class TestOrdered:
 class TestWatermarkBound:
     def test_bound_is_per_stream(self):
         ingress = Ingress(bound=1.0)
+        assert not ingress.sequence  # watermark mode numbers nothing either
+        ingress.sequence = True
         ingress.admit(tup("R", 5.0))
         ingress.admit(tup("S", 2.0))  # S's own high water is what counts
         ingress.admit(tup("R", 4.0))  # lag 1.0 == bound: still in
@@ -137,23 +141,17 @@ class TestFloorAndAbsorb:
 
 
 class TestSequence:
-    def test_upstream_seq_ahead_of_the_counter_is_trusted(self):
+    def test_a_carried_seq_is_renumbered(self):
+        """Whatever a tuple carries (left over from an earlier run, ahead
+        of the counter or behind it), a numbering ingress hands out the
+        next number: the sequence is the call order."""
         ingress = Ingress(bound=1.0)
-        sequenced = tup("R", 1.0)
-        sequenced.seq = 7  # e.g. assigned by the sharded driver
-        fresh = tup("R", 1.1)
-        ingress.admit(sequenced)
-        ingress.admit(fresh)
-        assert (sequenced.seq, fresh.seq) == (7, 8)
-
-    def test_stale_seq_is_replaced_so_the_order_stays_strict(self):
-        ingress = Ingress(bound=1.0)
-        for ts in (1.0, 1.1, 1.2):
-            ingress.admit(tup("R", ts))
-        reused = tup("R", 1.3)
-        reused.seq = 2  # left over from an earlier run
-        ingress.admit(reused)
-        assert reused.seq == 4
+        ingress.sequence = True
+        feed = [tup("R", ts) for ts in (1.0, 1.1, 1.2)]
+        feed[0].seq, feed[1].seq = 7, 2
+        for item in feed:
+            ingress.admit(item)
+        assert [t.seq for t in feed] == [1, 2, 3]
 
 
 class TestDumpLoad:
@@ -161,9 +159,11 @@ class TestDumpLoad:
         feed = [("R", 5.0), ("S", 4.0), ("R", 4.5), ("S", 6.0)]
         tail = [("R", 3.0), ("S", 5.5), ("R", 7.0)]
         live = Ingress(bound=1.0)
+        live.sequence = True
         for relation, ts in feed:
             live.admit(tup(relation, ts))
         resumed = Ingress(bound=1.0)
+        resumed.sequence = True
         resumed.load(pickle.loads(pickle.dumps(live.dump())))
         assert resumed.dump() == live.dump()
         assert verdicts(live, tail) == verdicts(resumed, tail) == [0, 5, 6]
@@ -191,7 +191,7 @@ class TestSnapshotLayout:
         assert payload["engine"]["ingress"] == {
             "last_ts": 5.0,
             "stream_high": {"R": 5.0, "S": 4.5},
-            "seq": 2,
+            "seq": 0,  # the layout keeps it; a single process never numbers
         }
         for retired in ("arrival_seq", "stream_high", "last_ts"):
             assert retired not in payload["engine"]
@@ -365,8 +365,7 @@ def test_every_entry_point_reaches_the_same_verdicts_and_seqs(case, warmup):
     assert admitted == list(range(1, len(admitted) + 1))
     assert [bool(seq) for seq in seqs] == [bool(v) for v in verdicts]
     assert dropped == len(feed) - len(admitted)
-    if bound is None:
-        # ordered mode: only the sharded driver's merge reads seqs, so only
-        # it hands them out — the verdicts are what everyone must share
-        seqs = [0] * len(feed)
+    # only the sharded driver's merge reads seqs, so only it hands them
+    # out, in both modes: the verdicts are what everyone must share
+    seqs = [0] * len(feed)
     assert bare == live == warmed == (verdicts, seqs, dropped)

@@ -45,12 +45,6 @@ from repro.streams.generators import (
 )
 
 
-def _fresh(feed):
-    for tup in feed:
-        tup.seq = 0
-    return feed
-
-
 def two_class_topology():
     """R/S/T with two attribute classes: class *a* chains R–S–T, class *b*
     joins R–T directly.  Class *a* partitions {R, S, T} only if every unit
@@ -182,7 +176,7 @@ class TestShardRouter:
             RuntimeConfig(workers=rng.choice([2, 3, 4])),
             transport="inline",
         ) as sharded:
-            sharded.run(_fresh(list(inputs)))
+            sharded.run(inputs)
             assert_engine_equals_reference(sharded, queries, streams, windows)
 
 
@@ -256,10 +250,10 @@ class TestReshard:
             tup.earliest_ts += 4.5
 
         def drive(runtime):
-            for tup in _fresh(list(first)):
+            for tup in first:
                 runtime.process(tup)
             runtime.install(topo_b, now=4.25, windows=windows)
-            for tup in _fresh(list(second)):
+            for tup in second:
                 runtime.process(tup)
             runtime.flush()
             return runtime
@@ -316,7 +310,7 @@ class TestFaultInjection:
             results_before = {k: list(v) for k, v in runtime.outputs.items()}
             runtime.inject_crash(0, after=3)
             with pytest.raises(ShardFailedError, match="shard 0"):
-                runtime.run(_fresh(inputs))
+                runtime.run(inputs)
             assert runtime.metrics.failed
             assert "shard 0" in runtime.metrics.failure_reason
             # the failed sync contributed nothing
@@ -335,14 +329,14 @@ class TestFaultInjection:
         runtime, inputs = self._sharded()
         half = len(inputs) // 2
         try:
-            for tup in _fresh(inputs[:half]):
+            for tup in inputs[:half]:
                 runtime.process(tup)
             runtime.flush()
             victim = runtime._shards[1].proc
             victim.kill()
             victim.join(timeout=10.0)
             with pytest.raises(ShardFailedError, match="shard 1"):
-                for tup in _fresh(inputs[half:]):
+                for tup in inputs[half:]:
                     runtime.process(tup)
                 runtime.flush()
         finally:
@@ -355,7 +349,7 @@ class TestFaultInjection:
         runtime, inputs = self._sharded(transport="inline")
         runtime.inject_crash(1, after=2)
         with pytest.raises(ShardFailedError):
-            runtime.run(_fresh(inputs))
+            runtime.run(inputs)
         assert runtime.metrics.failed
         runtime.close()
 

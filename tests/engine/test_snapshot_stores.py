@@ -71,27 +71,21 @@ class TestContainerRoundtrip:
         entries=entries_strategy,
         probes=probes_strategy,
         window=window_strategy,
-        seq_visibility=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
-    def test_python_backend_probe_parity(
-        self, entries, probes, window, seq_visibility
-    ):
-        self._check_backend("python", entries, probes, window, seq_visibility)
+    def test_python_backend_probe_parity(self, entries, probes, window):
+        self._check_backend("python", entries, probes, window)
 
     @given(
         entries=entries_strategy,
         probes=probes_strategy,
         window=window_strategy,
-        seq_visibility=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
-    def test_columnar_backend_probe_parity(
-        self, entries, probes, window, seq_visibility
-    ):
-        self._check_backend("columnar", entries, probes, window, seq_visibility)
+    def test_columnar_backend_probe_parity(self, entries, probes, window):
+        self._check_backend("columnar", entries, probes, window)
 
-    def _check_backend(self, backend, entries, probes, window, seq_visibility):
+    def _check_backend(self, backend, entries, probes, window):
         windows = {"R": window, "S": window}
         original = build_container(backend, window, entries)
         clone = roundtrip(original)
@@ -104,14 +98,8 @@ class TestContainerRoundtrip:
             probing(ticks / 10.0, key, 10_000 + i)
             for i, (ticks, key) in enumerate(probes)
         ]
-        res_a, checked_a = probe_batch(
-            original, probe_tuples, ORIENTED, windows,
-            seq_visibility=seq_visibility,
-        )
-        res_b, checked_b = probe_batch(
-            clone, probe_tuples, ORIENTED, windows,
-            seq_visibility=seq_visibility,
-        )
+        res_a, checked_a = probe_batch(original, probe_tuples, ORIENTED, windows)
+        res_b, checked_b = probe_batch(clone, probe_tuples, ORIENTED, windows)
         # identical results in identical order, identical candidate work
         assert checked_b == checked_a
         assert [r.key() for r in res_b] == [r.key() for r in res_a]

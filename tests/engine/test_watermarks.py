@@ -1,9 +1,9 @@
 """Unit tests for the out-of-order arrival subsystem (watermark mode).
 
 The differential harness proves whole-run result equality; these tests pin
-the individual mechanisms: config validation, arrival-sequence visibility,
-per-stream watermark tracking, bound enforcement, and the late-straggler
-join that strict timestamp visibility would miss.
+the individual mechanisms: config validation, probes without an arrival
+rule, per-stream watermark tracking, bound enforcement, and the
+late-straggler join.
 """
 
 import pytest
@@ -75,7 +75,7 @@ class TestConfigValidation:
         assert sorted(r.timestamps["R"] for r in results) == [1.8, 2.5]
 
 
-class TestSeqVisibility:
+class TestProbeHasNoArrivalRule:
     def test_merge_propagates_max_seq(self):
         r = input_tuple("R", 2.0, {"a": 1})
         s = input_tuple("S", 5.0, {"a": 1})
@@ -83,54 +83,17 @@ class TestSeqVisibility:
         assert r.merge(s).seq == 7
         assert s.merge(r).seq == 7
 
-    def test_probe_batch_seq_mode_ignores_event_order(self):
-        """A stored partner with a *later* event timestamp but an earlier
-        arrival must match in seq mode and must not in timestamp mode."""
+    def test_event_later_stored_partner_joins(self):
+        """A stored partner with a *later* event timestamp arrived first (it
+        is stored): the probe joins it, whatever the tuples' ``seq``."""
         cont = Container()
-        stored = input_tuple("S", 9.0, {"a": 1})  # event-later...
-        stored.seq = 1  # ...but arrived first
-        cont.insert(stored)
+        cont.insert(input_tuple("S", 9.0, {"a": 1}))
         probe = input_tuple("R", 2.0, {"a": 1})
-        probe.seq = 2
         oriented = orient_predicates(
             (JoinPredicate.of("R.a", "S.a"),), probe.lineage
         )
-        ts_results, _ = probe_batch(cont, (probe,), oriented, {})
-        assert ts_results == []  # strict event-time visibility
-        seq_results, _ = probe_batch(
-            cont, (probe,), oriented, {}, seq_visibility=True
-        )
-        assert len(seq_results) == 1
-        assert seq_results[0].timestamps == {"R": 2.0, "S": 9.0}
-
-    def test_probe_container_forwards_seq_visibility(self):
-        from repro.engine import probe_container
-
-        cont = Container()
-        stored = input_tuple("S", 9.0, {"a": 1})
-        stored.seq = 1
-        cont.insert(stored)
-        probe = input_tuple("R", 2.0, {"a": 1})
-        probe.seq = 2
-        preds = (JoinPredicate.of("R.a", "S.a"),)
-        assert probe_container(cont, probe, preds, {}) == []
-        results = probe_container(cont, probe, preds, {}, seq_visibility=True)
-        assert len(results) == 1
-
-    def test_probe_batch_seq_mode_excludes_later_arrivals(self):
-        cont = Container()
-        stored = input_tuple("S", 1.0, {"a": 1})
-        stored.seq = 5
-        cont.insert(stored)
-        probe = input_tuple("R", 2.0, {"a": 1})
-        probe.seq = 4  # arrived before the stored tuple
-        oriented = orient_predicates(
-            (JoinPredicate.of("R.a", "S.a"),), probe.lineage
-        )
-        results, _ = probe_batch(
-            cont, (probe,), oriented, {}, seq_visibility=True
-        )
-        assert results == []
+        results, _ = probe_batch(cont, (probe,), oriented, {})
+        assert [r.timestamps for r in results] == [{"R": 2.0, "S": 9.0}]
 
 
 class TestWatermarkRuntime:
@@ -185,18 +148,22 @@ class TestWatermarkRuntime:
         runtime.run([input_tuple("S", 3.0, {"a": 1})])
         assert runtime.watermark() == 3.0 - 1.0
 
-    def test_watermark_mode_assigns_increasing_seqs(self):
+    def test_equal_timestamps_join_in_both_modes(self):
         query, topology, windows, *_ = small_topology()
-        runtime = TopologyRuntime(
-            topology, windows, RuntimeConfig(disorder_bound=2.0)
-        )
-        feed = [
-            input_tuple("S", 5.0, {"a": 9}),
-            input_tuple("R", 4.0, {"a": 8}),
-            input_tuple("S", 4.5, {"a": 7}),
-        ]
-        runtime.run(feed)
-        assert [t.seq for t in feed] == [1, 2, 3]
+        for bound in (None, 0.0, 2.0):
+            runtime = TopologyRuntime(
+                topology, windows, RuntimeConfig(disorder_bound=bound)
+            )
+            runtime.run(
+                [
+                    input_tuple("R", 1.0, {"a": 1}),
+                    input_tuple("S", 1.0, {"a": 1}),
+                    input_tuple("S", 1.0, {"a": 2}),
+                    input_tuple("R", 1.0, {"a": 2}),
+                ]
+            )
+            got = sorted(r.get("R.a") for r in runtime.results("q"))
+            assert got == [1, 2], bound
 
 
 class TestBareRuntimeLateDrop:

@@ -68,9 +68,8 @@ def brute_force(model, probe, n_attrs):
         ):
             continue
         agreeing += 1
-        if stored.latest_ts < probe.trigger_ts and probe.within_uniform_window(
-            stored, WINDOW
-        ):
+        # no arrival rule: a stored tuple at the probe's timestamp joins
+        if probe.within_uniform_window(stored, WINDOW):
             partners.append(probe.merge(stored).key())
     return partners, agreeing
 

@@ -97,6 +97,31 @@ class TestProtocol:
         assert stats["summary"]["inputs"] == 40.0
         assert session.verify().ok
 
+    def test_integer_second_pairs_join_over_the_wire(self):
+        """Wire clients stamp whole seconds, so partners tie: an R and an S
+        pushed at the same second join, as the oracle says they do."""
+        items = []
+        for second in range(6):
+            items.append(("R", {"a": second % 3}, float(second)))
+            items.append(("S", {"a": second % 3}, float(second)))
+
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    for relation, values, ts in items:
+                        await client.push(relation, values, ts)
+                    await client.flush()
+                    res = await client.results("q1")
+            return session, res
+
+        session, res = asyncio.run(scenario())
+        check = session.verify().checks["q1"]
+        # one key every 3 s in a 5 s window: 6 ties, plus R/S and S/R for
+        # the 3 pairs of seconds 3 s apart
+        assert check.ok and check.expected == 12
+        assert res["count"] == check.produced == 12
+
     def test_stats_summary_reports_no_latency(self):
         """A session result completes at its trigger instant, so the
         ``mean_latency`` the summary carried could only ever read 0.0."""

@@ -118,6 +118,33 @@ class TestTimedSimulator:
         sim, *_ = self._run()
         assert sim.metrics.throughput > 0
 
+    def test_tied_pairs_all_join_once(self):
+        """One R and one S at every integer second: each pair ties, and
+        every one of them joins exactly once, whichever of the two
+        messages reaches the other's store first."""
+        query = Query.of("q", "R.a=S.a")
+        catalog = StatisticsCatalog(default_selectivity=0.25, default_window=3.0)
+        for rel in "RS":
+            catalog.with_rate(rel, 1.0)
+        cfg = OptimizerConfig(cluster=ClusterConfig(default_parallelism=2))
+        plan = MultiQueryOptimizer(catalog, cfg).optimize([query]).plan
+        topology = build_topology(plan, catalog, cfg.cluster)
+        streams = {rel: [] for rel in "RS"}
+        inputs = []
+        for second in range(20):
+            for rel in "RS":
+                # one key every 4 s in a 3 s window: only the ties join
+                tup = input_tuple(rel, float(second), {"a": second % 4})
+                streams[rel].append(tup)
+                inputs.append(tup)
+        windows = {"R": 3.0, "S": 3.0}
+        sim = TimedSimulator(topology, windows)
+        sim.run(inputs)
+        got = [r.key() for r in sim.results("q")]
+        assert len(set(got)) == len(got)
+        assert set(got) == result_keys(reference_join(query, streams, windows))
+        assert len(got) == 20
+
     def test_needs_the_whole_feed(self):
         _, topology = three_way_topology()
         sim = TimedSimulator(topology, {r: 8.0 for r in "RST"})
