@@ -30,7 +30,7 @@ decide at the next boundary, install one epoch later), and
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Sequence
 
 from ..core.adaptive import AdaptiveController, DecisionRecord
 from ..core.catalog import StatisticsCatalog
@@ -120,6 +120,11 @@ class AdaptivityLoop:
     def observe(self, tup: StreamTuple) -> None:
         """Record an arriving input tuple into the live epoch."""
         self.stats.observe(tup)
+
+    def observe_many(self, tuples: Sequence[StreamTuple]) -> None:
+        """Record a chunk of input tuples into the live epoch at once (the
+        caller folds before any epoch boundary the chunk crosses)."""
+        self.stats.observe_many(tuples)
 
     def absorb(self, delta: EpochStatistics) -> None:
         """Merge a worker-observed statistics delta (sharded fold-back)."""

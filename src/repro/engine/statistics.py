@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.catalog import StatisticsCatalog
 from ..core.predicates import JoinPredicate
@@ -44,10 +44,14 @@ class EpochStatistics:
         """Record an arriving *input* tuple (not intermediates)."""
         relation = tup.trigger
         self.counts[relation] = self.counts.get(relation, 0) + 1
-        if self.first_ts is None:
-            self.first_ts = tup.trigger_ts
-        if self.last_ts is None or tup.trigger_ts > self.last_ts:
-            self.last_ts = tup.trigger_ts
+        ts = tup.trigger_ts
+        # the earliest timestamp, not the first arrival: under disorder the
+        # observed span (and every rate) must not depend on arrival order,
+        # and must equal what merge() of partial statistics keeps
+        if self.first_ts is None or ts < self.first_ts:
+            self.first_ts = ts
+        if self.last_ts is None or ts > self.last_ts:
+            self.last_ts = ts
         histograms = self.histograms
         for attr, value in tup.values.items():
             if attr in self._saturated:
@@ -59,6 +63,54 @@ class EpochStatistics:
             hist[value] += 1
             if len(hist) > MAX_HISTOGRAM_ENTRIES:
                 self._saturated.add(attr)
+
+    def observe_many(self, tuples: Sequence[StreamTuple]) -> None:
+        """Record a chunk of input tuples: exactly ``observe`` of each, in
+        order, at one pass per chunk rather than per tuple.
+
+        A histogram takes the chunk's values in one ``Counter.update``
+        only when that cannot push it past ``MAX_HISTOGRAM_ENTRIES``;
+        otherwise its values go one by one, so it saturates at the same
+        value as repeated :meth:`observe` would.
+        """
+        if len(tuples) < 2:
+            # one tuple is cheaper to observe than a chunk's set-up
+            for tup in tuples:
+                self.observe(tup)
+            return
+        counts = self.counts
+        columns: Dict[str, List[object]] = {}
+        for tup in tuples:
+            relation = tup.trigger
+            counts[relation] = counts.get(relation, 0) + 1
+            for attr, value in tup.values.items():
+                column = columns.get(attr)
+                if column is None:
+                    columns[attr] = [value]
+                else:
+                    column.append(value)
+        stamps = [t.trigger_ts for t in tuples]
+        low, high = min(stamps), max(stamps)
+        if self.first_ts is None or low < self.first_ts:
+            self.first_ts = low
+        if self.last_ts is None or high > self.last_ts:
+            self.last_ts = high
+        histograms = self.histograms
+        saturated = self._saturated
+        for attr, column in columns.items():
+            if attr in saturated:
+                continue
+            hist = histograms.get(attr)
+            if hist is None:
+                hist = histograms[attr] = Counter()
+            if len(hist) + len(column) <= MAX_HISTOGRAM_ENTRIES:
+                hist.update(column)
+                continue
+            for value in column:
+                hist[value] += 1
+                if len(hist) > MAX_HISTOGRAM_ENTRIES:
+                    saturated.add(attr)
+                    break
 
     def merge(self, other: "EpochStatistics") -> None:
         """Fold another accumulator into this one (shard fold-back)."""

@@ -166,7 +166,12 @@ def _index_add(index: _Index, value: object, tup: StreamTuple) -> None:
 def _index_remove(index: _Index, lookups: List[Any], dead: Set[int]) -> None:
     """Drop the tuples whose ``id`` is in ``dead`` from the entries filed
     under ``lookups`` (one per evicted tuple; a value that was never filed
-    — NaN — finds no entry)."""
+    — NaN — finds no entry).
+
+    Entry lists are in insertion order and eviction takes the oldest
+    tuples, so the dead entries of a list are usually a run at its front:
+    that run is deleted in place, and the rest of the list is filtered
+    only when dead entries remain behind it (out-of-order feeds)."""
     counts: Dict[object, int] = {}
     for value in lookups:
         counts[value] = counts.get(value, 0) + 1
@@ -176,6 +181,12 @@ def _index_remove(index: _Index, lookups: List[Any], dead: Set[int]) -> None:
             continue
         if len(entries) <= n_dead:
             del index[value]
+            continue
+        front = 0
+        while front < n_dead and id(entries[front]) in dead:
+            front += 1
+        if front == n_dead:
+            del entries[:front]
         else:
             entries[:] = [t for t in entries if id(t) not in dead]
             if not entries:

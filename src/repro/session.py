@@ -54,9 +54,9 @@ the underlying :class:`~repro.core.query.Query` constructor.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import (
     Any,
     Callable,
@@ -466,6 +466,9 @@ class JoinSession:
         self._seq_of: Dict[Tuple[str, float], int] = {}
         self._history: Dict[str, List[StreamTuple]] = {}
         self._pending: List[StreamTuple] = []
+        #: tuples the running push_batch admitted whose statistics are not
+        #: folded into the loop yet (see _observe_chunk)
+        self._chunk: List[StreamTuple] = []
         #: relation -> push counts at which its input store's state was
         #: *released* by a rewire (query expiry); the oracle must not expect
         #: results that would need tuples stored before such a drop
@@ -638,7 +641,13 @@ class JoinSession:
         late-tuple policy for this push (``"raise"``, ``"drop"``, or
         ``"dead_letter"``)."""
         self._check_relation(relation)
-        self._ingest(input_tuple(relation, float(ts), values), on_late)
+        tup = input_tuple(relation, float(ts), values)
+        policy = self.on_late if on_late is None else _check_on_late(on_late)
+        if self._ingest(tup, policy):
+            if self._runtime_config.workers == 1:
+                self._loop.observe(tup)
+            if self._runtime.metrics.failed:
+                raise self._failed_by_push()
         return self
 
     def push_batch(
@@ -652,19 +661,40 @@ class JoinSession:
         adapter path — see :mod:`repro.streams.adapters`) or
         ``(relation, values, ts)`` triples; ``on_late`` overrides the
         session's late-tuple policy for the whole batch.
+
+        Each item is checked and delivered exactly as by :meth:`push`; the
+        batch's admitted tuples are folded into the statistics once, when
+        the batch ends (or raises), and before any epoch boundary it
+        crosses.  An item that raises leaves the items before it ingested,
+        observed and recorded, and itself and every later item not.
         """
-        for item in items:
-            if isinstance(item, StreamTuple):
-                if item.width != 1:
-                    raise SessionError(
-                        f"can only push raw input tuples, got a {item.width}-way "
-                        f"intermediate {item!r}"
-                    )
-                self._check_relation(item.trigger)
-                self._ingest(item, on_late)
-            else:
-                relation, values, ts = item
-                self.push(relation, values, ts, on_late)
+        policy = self.on_late if on_late is None else _check_on_late(on_late)
+        # the workers observe shard-side (see _ingest)
+        observe = self._runtime_config.workers == 1
+        chunk = self._chunk
+        try:
+            for item in items:
+                if isinstance(item, StreamTuple):
+                    tup = item
+                    if tup.width != 1:
+                        raise SessionError(
+                            f"can only push raw input tuples, got a "
+                            f"{tup.width}-way intermediate {tup!r}"
+                        )
+                    if tup.trigger not in self._registered:
+                        self._check_relation(tup.trigger)
+                else:
+                    relation, values, ts = item
+                    if relation not in self._registered:
+                        self._check_relation(relation)
+                    tup = input_tuple(relation, float(ts), values)
+                if self._ingest(tup, policy):
+                    if observe:
+                        chunk.append(tup)
+                    if self._runtime.metrics.failed:
+                        raise self._failed_by_push()
+        finally:
+            self._observe_chunk()
         return self
 
     def _check_relation(self, relation: str) -> None:
@@ -674,8 +704,24 @@ class JoinSession:
                 f"registered relations: {sorted(self._registered)}"
             )
 
-    def _ingest(self, tup: StreamTuple, on_late: Optional[str] = None) -> None:
-        """Admit, deliver, then record the accepted tuple.
+    def _observe_chunk(self) -> None:
+        """Fold the statistics of ``push_batch``'s admitted tuples that are
+        not folded yet into the live epoch."""
+        chunk = self._chunk
+        if chunk:
+            self._loop.observe_many(chunk)
+            chunk.clear()
+
+    def _ingest(self, tup: StreamTuple, policy: str) -> bool:
+        """Check, admit and deliver one input tuple: the per-item body of
+        :meth:`push` and :meth:`push_batch`.
+
+        Returns ``True`` when the live runtime ingested the tuple; the
+        caller then observes its statistics (``workers == 1`` only: with
+        more workers statistics are observed shard-side — partitioned
+        streams on their owning shard, broadcast streams on shard 0 — and
+        folded back through the loop's ``absorb`` at every drain) and
+        raises if the tuple tipped the engine into failure.
 
         The arrival-order contract is *owned by the runtime's ingress*
         (:class:`~repro.engine.ingress.Ingress`, behind
@@ -689,13 +735,13 @@ class JoinSession:
         only as the drain processes them, so history always equals what
         the engine ingested — even if the drain fails partway.
         """
-        policy = self.on_late if on_late is None else _check_on_late(on_late)
-        if not math.isfinite(tup.trigger_ts):
+        relation, ts = tup.trigger, tup.trigger_ts
+        if not isfinite(ts):
             # +inf would pin its stream's high water (every later push is
             # late forever), NaN would disable the order check for good
             raise SessionError(
-                f"event timestamp must be finite, got ts={tup.trigger_ts!r} "
-                f"for relation {tup.trigger!r}"
+                f"event timestamp must be finite, got ts={ts!r} "
+                f"for relation {relation!r}"
             )
         try:
             hash(tuple(tup.values.values()))
@@ -709,7 +755,7 @@ class JoinSession:
                 except TypeError:
                     raise SessionError(
                         f"unhashable {type(value).__name__} value for "
-                        f"attribute {attr!r} of relation {tup.trigger!r}; "
+                        f"attribute {attr!r} of relation {relation!r}; "
                         f"attribute values must be hashable"
                     ) from None
             raise
@@ -722,7 +768,6 @@ class JoinSession:
                 f"the session no longer accepts pushes"
             )
         ingress = self._warmup_ingress if runtime is None else runtime.ingress
-        relation, ts = tup.trigger, tup.trigger_ts
         try:
             if runtime is None:
                 ingress.admit(tup)
@@ -739,13 +784,15 @@ class JoinSession:
                     # a rejected straggler from triggering a boundary the
                     # engine would not have crossed; a straggler's ts never
                     # exceeds every accepted timestamp, so it can only
-                    # cross one spuriously, never legitimately).
+                    # cross one spuriously, never legitimately).  The
+                    # batch's earlier tuples belong to the closing epoch.
                     ingress.check(relation, ts)
+                    self._observe_chunk()
                     loop.advance(ts)
                 runtime.process(tup)
         except LateArrivalError as exc:
             self._reject(tup, policy, exc)
-            return
+            return False
         # an admitted tuple that rode the allowed_lateness grace lags its
         # stream's high water by more than D — so it did not raise that
         # high water, and reading the lag after admission is exact
@@ -759,15 +806,19 @@ class JoinSession:
             self._pending.append(tup)
             if self._pushed + len(self._pending) >= self.warmup:
                 self._start()
-            return
-        self._record(tup)
-        if runtime.metrics.failed:
-            # this push was fully processed (and recorded) but tipped
-            # the engine over the limit — surface it immediately
-            raise EngineFailedError(
-                f"the engine failed processing this push "
-                f"({runtime.metrics.failure_reason})"
-            )
+            return False
+        self._pushed += 1
+        if self.record_streams:
+            self._record(tup)
+        return True
+
+    def _failed_by_push(self) -> EngineFailedError:
+        """The error for a push that was fully processed (and recorded)
+        but tipped the engine over the limit — surfaced immediately."""
+        return EngineFailedError(
+            f"the engine failed processing this push "
+            f"({self._runtime.metrics.failure_reason})"
+        )
 
     def _reject(self, tup: StreamTuple, policy: str, exc: LateArrivalError) -> None:
         """The one raise / drop / dead-letter ladder for a tuple the
@@ -806,25 +857,15 @@ class JoinSession:
         return self
 
     def _record(self, tup: StreamTuple) -> None:
-        """Full bookkeeping for a tuple the live runtime just ingested.
-
-        Under ``workers > 1`` statistics are observed *shard-side* (exactly
-        once globally — partitioned streams on their owning shard,
-        broadcast streams on shard 0) and folded back through the loop's
-        ``absorb`` at every drain, so the driver must not observe again.
-        """
-        if self._runtime_config.workers == 1:
-            self._loop.observe(tup)
-        self._pushed += 1
-        if self.record_streams:
-            # the oracle's inputs: the tuple history and the arrival seq of
-            # each (relation, ts) — both grow with the stream, which is why
-            # production sessions turn record_streams off
-            key = (tup.trigger, tup.trigger_ts)
-            if key in self._seq_of:
-                self._ambiguous_ts = True
-            self._seq_of[key] = self._pushed
-            self._history.setdefault(tup.trigger, []).append(tup)
+        """Commit an ingested tuple to the verification history: the
+        oracle's inputs are the tuple history and the arrival seq of each
+        (relation, ts) — both grow with the stream, which is why
+        production sessions turn ``record_streams`` off."""
+        key = (tup.trigger, tup.trigger_ts)
+        if key in self._seq_of:
+            self._ambiguous_ts = True
+        self._seq_of[key] = self._pushed
+        self._history.setdefault(tup.trigger, []).append(tup)
 
     def flush(self) -> "JoinSession":
         """Run any deferred micro-batch cascade to completion."""
@@ -896,6 +937,7 @@ class JoinSession:
         runtime = self._runtime
         if runtime is not None and not runtime.metrics.failed:
             runtime.flush()
+        self._observe_chunk()
         loop = self._loop
         plan = self._plan
         return {
@@ -1177,19 +1219,24 @@ class JoinSession:
         # the drain below re-delivers the buffered prefix tuple-by-tuple
         # (the runtime's ingress re-admits it: same order, same verdicts,
         # same trusted seqs) and re-observes statistics on the way
-        # (driver-side at workers=1, shard-side otherwise, via _record) —
-        # drop the buffer-time accumulator or every warmup tuple would be
-        # counted twice, and epoch boundaries crossed mid-drain would
-        # misattribute tuples
+        # (driver-side at workers=1, shard-side otherwise) — drop the
+        # buffer-time accumulator or every warmup tuple would be counted
+        # twice, and epoch boundaries crossed mid-drain would misattribute
+        # tuples
         self._loop.stats = EpochStatistics(epoch=self._loop.stats.epoch)
+        observe = self._runtime_config.workers == 1
         pending, self._pending = self._pending, []
         for tup in pending:
             if self._loop.epoch_length is not None:
                 self._loop.advance(tup.trigger_ts)
             self._runtime.process(tup)
+            if observe:
+                self._loop.observe(tup)
             # record per processed tuple so the verification history equals
             # exactly what the engine ingested, even if the drain dies here
-            self._record(tup)
+            self._pushed += 1
+            if self.record_streams:
+                self._record(tup)
             if self._runtime.metrics.failed:
                 # the documented loud-failure contract holds for buffered
                 # pushes too: the warmup-ending call must not return as if
@@ -1268,6 +1315,9 @@ class JoinSession:
         — a churn rewire folds the *freshest* observations, not a
         session-long blob.
         """
+        # a subscriber that replans from inside push_batch sees the batch
+        # observed up to its current item, as with one push at a time
+        self._observe_chunk()
         return self._catalog_from(
             queries, self._loop.snapshot(), self._loop.elapsed()
         )

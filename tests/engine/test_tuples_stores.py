@@ -1,5 +1,7 @@
 """Tests for stream tuples, containers, and store tasks."""
 
+import random
+
 import pytest
 
 from repro.core.predicates import JoinPredicate
@@ -221,6 +223,49 @@ class TestEvictionBoundaries:
         # the empty-container reset counts as a (trivial) rebuild at most
         cont.insert(input_tuple("R", 200.0, {"a": 5}))
         assert cont.index_on("R.a")[5][0].latest_ts == 200.0
+
+
+class TestEvictionKeepsIndexOrder:
+    """Eviction drops the dead front of each entry list in place and
+    filters only what is left behind it; either way every entry list must
+    stay exactly the surviving tuples in insertion order."""
+
+    @pytest.mark.parametrize("disorder", [0.0, 3.0])
+    @pytest.mark.parametrize("width", [0.5, None])
+    def test_entry_lists_equal_a_rebuild_after_every_eviction(self, disorder, width):
+        rng = random.Random(11)
+        task = StoreTask(store_id="R", task_index=0, retention=4.0)
+        cont = task.container
+        cont._bucket_width = width
+        # indexes exist before the first insert, so they file in arrival
+        # order (a lazy build files in bucket order)
+        single, composite = cont.index_on("R.a"), cont.index_on(("R.a", "R.b"))
+        inserted, high = [], float("-inf")
+        for step in range(1500):
+            # ordered feed, or a watermark feed: timestamps lag their
+            # high water by up to ``disorder``, so the dead entries of a
+            # list are not all at its front
+            ts = step * 0.05 - rng.random() * disorder
+            values = {"a": rng.randrange(6), "b": rng.choice([0, 1, float("nan")])}
+            tup = input_tuple("R", ts, values)
+            cont.insert(tup)
+            inserted.append(tup)
+            high = max(high, ts)
+            if step % 7:
+                continue
+            task.evict(now=high - disorder)
+            survivors = {id(t) for t in cont.iter_tuples()}
+            live = [t for t in inserted if id(t) in survivors]
+            rebuilt_single, rebuilt_composite = {}, {}
+            for t in live:
+                rebuilt_single.setdefault(t.get("R.a"), []).append(t)
+                key = (t.get("R.a"), t.get("R.b"))
+                if key[1] == key[1]:  # a NaN is never filed
+                    rebuilt_composite.setdefault(key, []).append(t)
+            assert single == rebuilt_single
+            assert composite == rebuilt_composite
+        assert cont.index_rebuilds == 2  # the two empty initial builds
+        assert 0 < len(cont) < len(inserted)
 
 
 class TestStoreTask:
