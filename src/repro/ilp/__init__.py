@@ -7,7 +7,7 @@ package solves them with HiGHS:
 * :mod:`repro.ilp.greedy` — grouped-selection greedy heuristic (the
   ``"greedy"`` planner, and the plan of a model with nothing to choose)
 * :mod:`repro.ilp.scipy_backend` — HiGHS via ``scipy.optimize.milp``, the
-  one exact solver
+  one exact solver; scipy is imported at the first exact solve, not here
 * :mod:`repro.ilp.solvers` — the solver names and :func:`solve_model`
 """
 

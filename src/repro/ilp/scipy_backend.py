@@ -2,6 +2,12 @@
 
 The one exact solver of the package, standing in for the Gurobi the paper
 uses for all instances.
+
+scipy is imported at the first exact solve, not with the package: a
+session whose models leave nothing to choose, or that plans with
+``solver="greedy"``, never loads it.  A timer that measures a solve calls
+:func:`load_highs` before it starts, so the import is not counted as solve
+time.
 """
 
 from __future__ import annotations
@@ -9,11 +15,27 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import optimize, sparse
 
 from .model import Model, Solution, SolveStatus, VarType
 
-__all__ = ["ScipyMilpSolver"]
+__all__ = ["ScipyMilpSolver", "load_highs"]
+
+
+def load_highs() -> None:
+    """Import HiGHS (``scipy.optimize`` and ``scipy.sparse``); a no-op once
+    loaded.
+
+    Raises :class:`ImportError` naming the way out when scipy is missing:
+    the grouped greedy planner needs no solver.
+    """
+    try:
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse  # noqa: F401
+    except ImportError as exc:
+        raise ImportError(
+            "the exact ILP solver is HiGHS via scipy.optimize.milp, and scipy "
+            "is not installed: install scipy, or plan with solver=\"greedy\""
+        ) from exc
 
 
 class ScipyMilpSolver:
@@ -24,6 +46,9 @@ class ScipyMilpSolver:
         self.mip_rel_gap = mip_rel_gap
 
     def solve(self, model: Model) -> Solution:
+        load_highs()
+        from scipy import optimize, sparse
+
         c, a_ub, b_ub, a_eq, b_eq, lb, ub = model.to_matrices()
 
         constraints: List[optimize.LinearConstraint] = []

@@ -4,7 +4,8 @@ The paper solves its ILPs with an industrial solver (Gurobi); this package
 solves them with HiGHS via ``scipy.optimize.milp``.  ``"auto"`` and
 ``"scipy"`` name the same exact solve here; they differ only where
 :func:`repro.core.optimizer.choose_solver` sends a cyclic workload to
-``"greedy"``.
+``"greedy"``.  scipy is imported at the first exact solve (see
+:mod:`repro.ilp.scipy_backend`), so ``import repro`` does not load it.
 """
 
 from __future__ import annotations

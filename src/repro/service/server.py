@@ -49,6 +49,20 @@ _FRAME_LIMIT = 2**24
 _PushItem = Tuple[Any, ...]
 
 
+def _batch_entry(entry: Any) -> Tuple[str, Dict[str, Any], float]:
+    """One ``batch`` item as ``(relation, values, ts)``; raises
+    ``TypeError`` / ``ValueError`` unless it is a triple of a relation
+    name, a mapping of values and a number."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        raise ValueError(f"batch item {entry!r} is not a [relation, values, ts] triple")
+    relation, values, ts = entry
+    if not isinstance(relation, str):
+        raise TypeError(f"batch item relation {relation!r} is not a string")
+    if not isinstance(values, Mapping):
+        raise TypeError(f"batch item values {values!r} are not a mapping")
+    return relation, dict(values), float(ts)
+
+
 class _Connection:
     """Per-client send side; reply frames are single complete lines."""
 
@@ -317,6 +331,9 @@ class JoinServer:
                 self.ingested += 1
                 if ack and conn is not None and fid is not None:
                     conn.send({"kind": "ok", "id": fid, "pushed": self.session.pushed})
+        elif kind == "ack":
+            _, conn, fid = item
+            conn.send({"kind": "ok", "id": fid, "pushed": self.session.pushed})
         elif kind == "control":
             _, conn, fid, op, args = item
             try:
@@ -442,25 +459,19 @@ class JoinServer:
                 )
             )
         elif op == "batch":
-            items = list(frame["items"])
-            for index, entry in enumerate(items):
-                relation, values, ts = entry
-                # only the final item acks, so one reply per batch frame
-                ack = fid is not None and index == len(items) - 1
+            # check every entry before enqueueing any: a malformed frame
+            # is refused whole, never half-applied
+            entries = [_batch_entry(entry) for entry in frame["items"]]
+            on_late = frame.get("on_late")
+            for relation, values, ts in entries:
                 await self._enqueue(
-                    (
-                        "push",
-                        conn,
-                        fid,
-                        str(relation),
-                        dict(values),
-                        float(ts),
-                        frame.get("on_late"),
-                        ack,
-                    )
+                    ("push", conn, fid, relation, values, ts, on_late, False)
                 )
-            if not items and fid is not None:
-                conn.send({"kind": "ok", "id": fid, "pushed": self.session.pushed})
+            if fid is not None:
+                # the frame's ok reply rides the queue: the drain sends it
+                # once every item queued before it is in the session, also
+                # when the frame is empty
+                await self._enqueue(("ack", conn, fid))
         elif op in ("flush", "results", "stats", "checkpoint", "dead_letters"):
             await self._enqueue(("control", conn, fid, op, dict(frame)))
         else:
@@ -590,8 +601,9 @@ class ServiceClient:
         ],
         on_late: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Push many tuples in one frame; resolves when the *last* item
-        has been drained into the session (an end-to-end ack)."""
+        """Push many tuples in one frame; resolves when every item, and
+        every push queued before them, has been drained into the session
+        (an end-to-end ack, also for an empty batch)."""
         triples: List[Tuple[str, Dict[str, Any], float]] = []
         for item in items:
             if isinstance(item, StreamTuple):

@@ -198,6 +198,85 @@ class TestProtocol:
         ]
 
 
+class TestBatchFrame:
+    """A ``batch`` frame is one unit: its ``ok`` reply rides the ingress
+    queue behind every item queued before it, and a malformed frame is
+    refused before any of its items is queued."""
+
+    def test_empty_batch_acks_after_the_pushes_before_it(self):
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    for relation, values, ts in feed_items(250):
+                        await client.push(relation, values, ts)
+                    return await client.push_batch([])
+
+        reply = asyncio.run(scenario())
+        assert reply["kind"] == "ok"
+        assert reply["pushed"] == 500
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["bad"],
+            "R",
+            ["R", {"a": 1}],
+            [7, {"a": 1}, 30.0],
+            ["R", [["a", 1]], 30.0],
+            ["R", {"a": 1}, None],
+            ["R", {"a": 1}, "soon"],
+        ],
+        ids=["one-field", "string", "pair", "int-relation", "list-values",
+             "null-ts", "text-ts"],
+    )
+    def test_malformed_batch_is_refused_whole(self, bad):
+        valid = [["R", {"a": 1}, 30.0], ["S", {"a": 1}, 30.1]]
+
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                async with await ServiceClient.connect(*server.address) as client:
+                    await client.push_batch(feed_items(250))
+                    reader, writer = await asyncio.open_connection(*server.address)
+                    frame = {"op": "batch", "id": 1, "items": valid + [bad]}
+                    writer.write(json.dumps(frame).encode() + b"\n")
+                    await writer.drain()
+                    reply = json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                    writer.close()
+                    return reply, await client.stats()
+
+        reply, stats = asyncio.run(scenario())
+        assert reply["kind"] == "error" and reply["id"] == 1
+        assert "malformed" in reply["error"]
+        assert stats["pushed"] == 500
+
+    def test_an_item_the_session_refuses_costs_only_that_item(self):
+        """Session errors stay per item: the refused item answers an error
+        frame, the others are ingested, and the ``ok`` follows them."""
+
+        async def scenario():
+            session = tiny_session()
+            async with JoinServer(session) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                items = [["R", {"a": 1}, 1.0], ["S", {"a": [1]}, 1.1], ["S", {"a": 1}, 1.2]]
+                writer.write(
+                    json.dumps({"op": "batch", "id": 1, "items": items}).encode() + b"\n"
+                )
+                await writer.drain()
+                replies = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                    for _ in range(2)
+                ]
+                writer.close()
+                return replies
+
+        error, ok = asyncio.run(scenario())
+        assert error["kind"] == "error" and error["id"] == 1
+        assert "unhashable" in error["error"]
+        assert ok == {"kind": "ok", "id": 1, "pushed": 2}
+
+
 class TestDrainSurvives:
     """One bad item must cost its sender an error frame, never the drain
     task — the only thing that answers anybody."""
