@@ -2,9 +2,9 @@
 
 The :class:`AdaptiveController` is the "Decision making" box of Figure 5:
 at every epoch boundary it receives the previous epoch's statistics, re-runs
-the ILP optimizer, and — iff the resulting plan differs from the installed
-one — emits a new topology to take effect one epoch later (statistics from
-epoch *i* influence epoch *i+2*).
+the ILP optimizer, and — iff the resulting plan differs from the last
+committed one — emits a new topology to take effect one epoch later
+(statistics from epoch *i* influence epoch *i+2*).
 
 It also implements the query lifecycle of Section VI.B: queries can be
 installed or removed at runtime; store reference counts track how many live
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .catalog import StatisticsCatalog
 from .ilp_builder import OptimizerConfig
-from .optimizer import MultiQueryOptimizer
+from .optimizer import MultiQueryOptimizer, choose_solver
 from .partitioning import ClusterConfig
 from .plan import SharedPlan
 from .query import Query
@@ -27,6 +27,7 @@ from .topology import Topology, build_topology
 
 __all__ = [
     "AdaptiveController",
+    "Decision",
     "DecisionRecord",
     "TopologyDiff",
     "diff_topologies",
@@ -120,8 +121,30 @@ class DecisionRecord:
     num_queries: int
 
 
+@dataclass(frozen=True)
+class Decision:
+    """What :meth:`AdaptiveController.decide` chose, committed to nothing.
+
+    ``catalog`` is the measured catalog ``plan`` was optimized against;
+    ``topology`` deploys the plan and is built only when it changed.
+    """
+
+    record: DecisionRecord
+    plan: SharedPlan
+    catalog: StatisticsCatalog
+    topology: Optional[Topology]
+
+
 class AdaptiveController:
-    """Re-optimizes the workload from epoch statistics and query changes."""
+    """Re-optimizes the workload from epoch statistics and query changes.
+
+    The controller owns the planned query set, the solver choice and the
+    decision baseline: the committed plan every decision compares against.
+    :meth:`decide` commits nothing: its caller passes a changed plan to
+    :meth:`commit` once it stands — an epoch decision at once, an immediate
+    one after its install succeeded — so a failed install leaves the
+    baseline as it was.
+    """
 
     def __init__(
         self,
@@ -136,8 +159,6 @@ class AdaptiveController:
         self.queries: Dict[str, Query] = {q.name: q for q in queries}
         self.current_plan: Optional[SharedPlan] = None
         self.current_signature: Optional[PlanSignature] = None
-        self.decisions: List[DecisionRecord] = []
-        self._dirty = True  # force a decision on first use
 
     # ------------------------------------------------------------------
     # query lifecycle
@@ -146,13 +167,11 @@ class AdaptiveController:
         if query.name in self.queries:
             raise ValueError(f"query {query.name!r} already installed")
         self.queries[query.name] = query
-        self._dirty = True
 
     def remove_query(self, name: str) -> None:
         if name not in self.queries:
             raise KeyError(f"query {name!r} is not installed")
         del self.queries[name]
-        self._dirty = True
 
     @property
     def query_list(self) -> List[Query]:
@@ -167,44 +186,59 @@ class AdaptiveController:
     # planning
     # ------------------------------------------------------------------
     def initial_topology(
-        self, cluster: Optional[ClusterConfig] = None
+        self,
+        cluster: Optional[ClusterConfig] = None,
+        catalog: Optional[StatisticsCatalog] = None,
     ) -> Topology:
-        """Plan and build the first deployment from the base catalog."""
-        plan = self._optimize(self.base_catalog)
-        return build_topology(plan, self.base_catalog, cluster or self.config.cluster)
+        """Plan and build the first deployment — from ``catalog``, by
+        default the base catalog — and commit it as the baseline."""
+        if catalog is None:
+            catalog = self.base_catalog
+        plan = self._optimize(catalog)
+        self.commit(plan)
+        return build_topology(plan, catalog, cluster or self.config.cluster)
 
     def decide(
         self,
         epoch: int,
         measured: StatisticsCatalog,
         cluster: Optional[ClusterConfig] = None,
-    ) -> Optional[Topology]:
-        """Epoch-boundary decision; returns a topology only when it changed."""
+    ) -> Optional[Decision]:
+        """Plan the query set against ``measured`` (None: no queries).
+
+        The plan changed iff its query set or its signature differs from
+        the baseline's; only then is a topology built.
+        """
         if not self.queries:
             return None
         plan = self._optimize(measured)
-        signature = plan_signature(plan)
-        changed = self._dirty or signature != self.current_signature
-        self.decisions.append(
-            DecisionRecord(
-                epoch=epoch,
-                objective=plan.objective,
-                changed=changed,
-                num_queries=len(self.queries),
-            )
+        baseline = self.current_plan
+        changed = (
+            baseline is None
+            or plan.queries != baseline.queries
+            or plan_signature(plan) != self.current_signature
         )
-        if not changed:
-            return None
+        record = DecisionRecord(
+            epoch=epoch,
+            objective=plan.objective,
+            changed=changed,
+            num_queries=len(self.queries),
+        )
+        topology = (
+            build_topology(plan, measured, cluster or self.config.cluster)
+            if changed
+            else None
+        )
+        return Decision(record, plan, measured, topology)
+
+    def commit(self, plan: SharedPlan) -> None:
+        """Make ``plan`` the baseline the next decision compares against."""
         self.current_plan = plan
-        self.current_signature = signature
-        self._dirty = False
-        return build_topology(plan, measured, cluster or self.config.cluster)
+        self.current_signature = plan_signature(plan)
 
     def _optimize(self, catalog: StatisticsCatalog) -> SharedPlan:
-        optimizer = MultiQueryOptimizer(catalog, self.config, solver=self.solver)
-        result = optimizer.optimize(self.query_list)
-        if self.current_plan is None:
-            self.current_plan = result.plan
-            self.current_signature = plan_signature(result.plan)
-            self._dirty = False
-        return result.plan
+        queries = self.query_list
+        optimizer = MultiQueryOptimizer(
+            catalog, self.config, solver=choose_solver(queries, self.solver)
+        )
+        return optimizer.optimize(queries).plan

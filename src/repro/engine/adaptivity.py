@@ -22,8 +22,8 @@ loop from its own ``process`` (Section VI, Figure 5: epoch statistics,
 decide at the next boundary, install one epoch later), and
 :class:`~repro.session.JoinSession` drives the same loop for
 ``reoptimize_every`` epochs, ``add_query`` / ``remove_query`` churn, and
-``session.reoptimize()``.  Every optimizer consultation is mirrored into
-``runtime.metrics.decisions`` as a
+``session.reoptimize()``.  Every optimizer consultation is logged once, in
+``runtime.metrics.decisions``, as a
 :class:`~repro.core.adaptive.DecisionRecord`.
 """
 
@@ -32,9 +32,10 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Sequence
 
-from ..core.adaptive import AdaptiveController, DecisionRecord
+from ..core.adaptive import AdaptiveController, Decision, DecisionRecord
 from ..core.catalog import StatisticsCatalog
 from ..core.partitioning import ClusterConfig
+from ..core.plan import SharedPlan
 from ..core.topology import Topology
 from .rewiring import RewirableRuntime, SwitchRecord
 from .runtime import RuntimeConfig
@@ -62,11 +63,17 @@ class AdaptivityLoop:
     controller's base catalog.  ``pre_decide`` runs once before boundary
     decisions — the sharded session uses it to drain worker statistics
     deltas so epoch attribution matches the single-process runtime.
+
+    The loop holds the *running* plan (``plan``, with the ``catalog`` it
+    was optimized against): :meth:`deploy` sets it for the first
+    deployment and :meth:`install` for every switch.  The controller holds
+    the decision baseline, which runs ahead of it while an epoch decision
+    waits in ``pending`` for its install.
     """
 
     def __init__(
         self,
-        controller: Optional[AdaptiveController] = None,
+        controller: AdaptiveController,
         *,
         epoch_length: Optional[float] = None,
         cluster: Optional[ClusterConfig] = None,
@@ -89,30 +96,30 @@ class AdaptivityLoop:
         self.measure = measure
         self.pre_decide = pre_decide
         self.runtime: Optional["Runtime"] = None
-        #: invoked after an epoch-boundary decision *changed* the plan
-        #: (the session refreshes its introspection state here)
-        self.on_change: Optional[Callable[[], None]] = None
+        self.plan: Optional[SharedPlan] = None
+        self.catalog: Optional[StatisticsCatalog] = None
         self.current_epoch = 0
         self.stats = EpochStatistics(epoch=0)
         self.closed: Deque[EpochStatistics] = deque(maxlen=stats_window)
-        self.pending: Dict[int, Topology] = {}
+        self.pending: Dict[int, Decision] = {}
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
+    def deploy(self, measured: Optional[StatisticsCatalog] = None) -> Topology:
+        """Plan the first deployment from ``measured`` (by default the
+        controller's base catalog): it becomes the decision baseline and the
+        running plan.  The caller builds its runtime from the returned
+        topology and attaches it."""
+        controller = self.controller
+        catalog = controller.base_catalog if measured is None else measured
+        topology = controller.initial_topology(self.cluster, catalog)
+        self.plan, self.catalog = controller.current_plan, catalog
+        return topology
+
     def attach(self, runtime: "Runtime") -> None:
         """Bind the runtime whose ``install()`` every change routes through."""
         self.runtime = runtime
-
-    def bind(
-        self,
-        controller: AdaptiveController,
-        cluster: Optional[ClusterConfig] = None,
-    ) -> None:
-        """Late-bind the controller (the session plans lazily)."""
-        self.controller = controller
-        if cluster is not None:
-            self.cluster = cluster
 
     # ------------------------------------------------------------------
     # observation
@@ -171,10 +178,10 @@ class AdaptivityLoop:
         while self.current_epoch < epoch:
             self._close_epoch(self.current_epoch)
             self.current_epoch += 1
-            topology = self.pending.pop(self.current_epoch, None)
-            if topology is not None:
+            decision = self.pending.pop(self.current_epoch, None)
+            if decision is not None:
                 self.install(
-                    topology,
+                    decision,
                     now=self.current_epoch * self.epoch_length,
                     epoch=self.current_epoch,
                 )
@@ -183,7 +190,7 @@ class AdaptivityLoop:
         stats = self.stats
         self.stats = EpochStatistics(epoch=epoch + 1)
         self.closed.append(stats)
-        if not self.adapt or self.controller is None:
+        if not self.adapt:
             return
         if len(self.closed) == 1:
             merged = self.closed[0]
@@ -192,13 +199,16 @@ class AdaptivityLoop:
             for item in self.closed:
                 merged.merge(item)
         elapsed = float(len(self.closed)) * self.epoch_length
-        measured = self._measured(merged, elapsed)
-        topology = self._decide(epoch, measured)
-        if topology is not None:
+        decision = self.controller.decide(
+            epoch, self._measured(merged, elapsed), self.cluster
+        )
+        if decision is None:
+            return
+        self._log(decision.record)
+        if decision.record.changed:
             # decided while epoch+1 runs; in effect from epoch+2 (Fig. 5)
-            self.pending[epoch + 2] = topology
-            if self.on_change is not None:
-                self.on_change()
+            self.controller.commit(decision.plan)
+            self.pending[epoch + 2] = decision
 
     # ------------------------------------------------------------------
     # immediate decisions (churn / explicit reoptimize)
@@ -206,40 +216,48 @@ class AdaptivityLoop:
     def rewire(
         self,
         now: float,
+        measured: StatisticsCatalog,
         windows: Optional[Dict[str, float]] = None,
-        measured: Optional[StatisticsCatalog] = None,
     ) -> Optional[DecisionRecord]:
-        """Decide from the freshest statistics and install immediately.
+        """Decide against ``measured`` and install a changed plan now.
 
-        Used for query churn (the controller is dirty, so a topology is
-        always produced) and for explicit ``session.reoptimize()`` (a
-        topology is produced only when the plan actually changed).  Any
-        pending epoch-scheduled topology is superseded.
+        Used for query churn (a changed query set always changes the plan)
+        and for explicit ``session.reoptimize()`` (a topology is installed
+        only when the plan actually changed).  The baseline, the record and
+        the superseding of any pending epoch-scheduled plan commit only
+        after the install succeeded: an install that raises leaves the
+        loop and the controller as they were.
         """
-        if measured is None:
-            measured = self._measured(self.snapshot(), self.elapsed())
-        before = len(self.controller.decisions)
-        topology = self._decide(self.current_epoch, measured)
-        if topology is not None:
+        decision = self.controller.decide(self.current_epoch, measured, self.cluster)
+        if decision is None:
+            return None
+        if decision.record.changed:
+            self.install(decision, now=now, epoch=self.current_epoch, windows=windows)
             self.pending.clear()
-            self.install(topology, now=now, epoch=self.current_epoch, windows=windows)
-        after = self.controller.decisions
-        return after[-1] if len(after) > before else None
+            self.controller.commit(decision.plan)
+        self._log(decision.record)
+        return decision.record
 
     # ------------------------------------------------------------------
     # the single funnel
     # ------------------------------------------------------------------
     def install(
         self,
-        topology: Topology,
+        decision: Decision,
         now: float,
         epoch: int = 0,
         windows: Optional[Dict[str, float]] = None,
     ) -> "SwitchRecord":
-        """Every plan change — epoch, churn, or manual — lands here."""
+        """Every plan change — epoch, churn, or manual — lands here, and
+        only here does the running plan change after the first deployment."""
         if self.runtime is None:
             raise RuntimeError("AdaptivityLoop has no attached runtime")
-        return self.runtime.install(topology, now=now, epoch=epoch, windows=windows)
+        assert decision.topology is not None, "an unchanged plan has no topology"
+        record = self.runtime.install(
+            decision.topology, now=now, epoch=epoch, windows=windows
+        )
+        self.plan, self.catalog = decision.plan, decision.catalog
+        return record
 
     # ------------------------------------------------------------------
     def _measured(
@@ -253,15 +271,10 @@ class AdaptivityLoop:
             elapsed if elapsed else 1.0,
         )
 
-    def _decide(
-        self, epoch: int, measured: StatisticsCatalog
-    ) -> Optional[Topology]:
-        before = len(self.controller.decisions)
-        topology = self.controller.decide(epoch, measured, self.cluster)
+    def _log(self, record: DecisionRecord) -> None:
+        """The one decision log: the attached runtime's metrics."""
         if self.runtime is not None:
-            for record in self.controller.decisions[before:]:
-                self.runtime.metrics.on_decision(record)
-        return topology
+            self.runtime.metrics.on_decision(record)
 
 
 class AdaptiveRuntime(RewirableRuntime):
@@ -287,9 +300,7 @@ class AdaptiveRuntime(RewirableRuntime):
             adapt=adapt,
             stats_window=stats_window,
         )
-        super().__init__(
-            controller.initial_topology(self.loop.cluster), windows, config
-        )
+        super().__init__(self.loop.deploy(), windows, config)
         self.loop.attach(self)
 
     @property

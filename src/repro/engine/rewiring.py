@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.adaptive import TopologyDiff, diff_topologies
 from ..core.probe_order import maintenance_query
 from ..core.topology import StoreSpec, Topology
-from .routing import stable_hash
+from .routing import storage_task
 from .runtime import TopologyRuntime
 from .stores import orient_predicates
 from .tuples import StreamTuple
@@ -308,17 +308,9 @@ class RewirableRuntime(TopologyRuntime):
         for task in tasks:
             task.evicted_through = evicted_through
         for tup in tuples:
-            tasks[self._task_for(spec, tup)].container.insert(tup)
+            index = storage_task(spec, tup, spec.partition_attr)
+            tasks[index].container.insert(tup)
         self.metrics.migrated_tuples += len(tuples)
-
-    def _task_for(self, spec: StoreSpec, tup: StreamTuple) -> int:
-        if spec.parallelism <= 1:
-            return 0
-        if spec.partition_attr is not None:
-            value = tup.get(spec.partition_attr)
-            if value is not None:
-                return stable_hash(value) % spec.parallelism
-        return stable_hash(tup.key()) % spec.parallelism
 
     def _backfill(self, spec: StoreSpec, now: float) -> None:
         """Seed a new MIR store from the windowed input stores.
@@ -339,6 +331,7 @@ class RewirableRuntime(TopologyRuntime):
         intermediates = compute_backfill(spec, streams, self.windows)
         tasks = self.tasks[spec.store_id]
         for tup in intermediates:
-            tasks[self._task_for(spec, tup)].container.insert(tup)
+            index = storage_task(spec, tup, spec.partition_attr)
+            tasks[index].container.insert(tup)
             self.metrics.on_store(tup.width)
         self.metrics.backfilled_tuples += len(intermediates)

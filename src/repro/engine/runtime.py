@@ -82,7 +82,7 @@ from ..core.topology import EdgeSpec, StoreRule, StoreSpec, Topology
 from .columnar import ColumnarContainer, VectorBatch
 from .ingress import Ingress, LateArrivalError
 from .metrics import EngineMetrics
-from .routing import stable_hash, target_tasks
+from .routing import storage_task, target_tasks
 from .stores import (
     HopKey,
     StoreTask,
@@ -740,7 +740,7 @@ class TopologyRuntime(Runtime):
         for tup in _rows(payload):
             targets = target_tasks(edge, spec, tup)
             if len(targets) > 1 and hop.storage:
-                targets = [stable_hash(tup.key()) % spec.parallelism]
+                targets = [storage_task(spec, tup, edge.route_by)]
             fanout += len(targets)
             for task_index in targets:
                 bucket = per_task.get(task_index)

@@ -93,7 +93,7 @@ from ..core.predicates import JoinPredicate
 from ..core.schema import Attribute
 from ..core.topology import Topology
 from .rewiring import RewirableRuntime, SwitchRecord, compute_backfill
-from .routing import stable_hash
+from .routing import stable_hash, storage_task
 from .runtime import Runtime, RuntimeConfig
 from .statistics import EpochStatistics
 from .tuples import StreamTuple
@@ -414,7 +414,8 @@ class _WorkerState:
             spec = topology.stores[store_id]
             tasks = runtime.tasks[store_id]
             for tup in tuples:
-                tasks[runtime._task_for(spec, tup)].container.insert(tup)
+                index = storage_task(spec, tup, spec.partition_attr)
+                tasks[index].container.insert(tup)
                 width += tup.width
         # migrated-in state is a level, not flow: track stored units without
         # inflating the flow counters the driver folds

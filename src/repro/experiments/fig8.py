@@ -92,7 +92,7 @@ def _run(
         adapt=adapt,
     )
     runtime = TimedSimulator(
-        controller.initial_topology(loop.cluster),
+        loop.deploy(),
         {name: window for name in rates},
         RuntimeConfig(collect_outputs=False, memory_limit_units=memory_limit),
         profile=CLASH_PROFILE.scaled(profile_scale),

@@ -55,7 +55,7 @@ from ..engine.adaptivity import AdaptivityLoop
 from ..engine.metrics import EngineMetrics
 from ..engine.profiles import CLASH_PROFILE, EngineProfile
 from ..engine.rewiring import RewirableRuntime, SwitchRecord
-from ..engine.routing import stable_hash, target_tasks
+from ..engine.routing import storage_task, target_tasks
 from ..engine.runtime import RuntimeConfig
 from ..engine.stores import HopKey, StoreTask, orient_predicates, probe_batch
 from ..engine.tuples import StreamTuple
@@ -303,9 +303,8 @@ class TimedSimulator(RewirableRuntime):
         spec = self._specs[edge.target_store]
         targets = target_tasks(edge, spec, tup)
         if len(targets) > 1 and self._storage_edges.get(label):
-            # a storage edge places each tuple on exactly one task; an
-            # unroutable one falls back to a stable tuple hash
-            targets = [stable_hash(tup.key()) % spec.parallelism]
+            # a storage edge places each tuple on exactly one task
+            targets = [storage_task(spec, tup, edge.route_by)]
         self.metrics.on_send(len(targets))
         arrival = now + self.profile.network_delay
         for task_index in targets:

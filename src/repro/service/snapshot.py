@@ -42,7 +42,7 @@ __all__ = [
 SNAPSHOT_MAGIC = "repro-join-session-snapshot"
 
 #: current payload-layout version (see the module docstring's policy)
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
 _PathLike = Union[str, "os.PathLike[str]"]
 

@@ -73,12 +73,11 @@ from typing import (
 from .core.adaptive import AdaptiveController, DecisionRecord, plan_signature
 from .core.catalog import StatisticsCatalog
 from .core.ilp_builder import OptimizerConfig
-from .core.optimizer import MultiQueryOptimizer, choose_solver
 from .core.partitioning import ClusterConfig
 from .core.plan import SharedPlan
 from .core.predicates import JoinPredicate, as_predicate
 from .core.query import Query
-from .core.topology import Topology, build_topology
+from .core.topology import Topology
 from .engine.adaptivity import AdaptivityLoop
 from .engine.ingress import Ingress, LateArrivalError
 from .engine.metrics import EngineMetrics
@@ -436,7 +435,6 @@ class JoinSession:
         self._dead_letter_listeners: List[Callable[[StreamTuple], None]] = []
 
         # query lifecycle
-        self._queries: Dict[str, Query] = {}
         self._lifecycle: Dict[str, List[_Activation]] = {}
         self._registered: frozenset = frozenset()
 
@@ -445,21 +443,28 @@ class JoinSession:
         self._declared_windows: Dict[str, float] = {}
         self._declared_selectivities: Dict[JoinPredicate, float] = {}
 
-        # observed statistics — owned by the unified adaptivity loop: one
-        # unbounded rolling epoch when reoptimize_every is None (the
-        # legacy session-long accumulator), rolling stats_window epochs
-        # with periodic decisions otherwise.  The loop is also the single
-        # funnel every plan change (epoch, churn, explicit reoptimize)
-        # takes into RewirableRuntime.install.
+        # the controller owns the query set, the solver choice and the
+        # decision baseline; the unified adaptivity loop owns the observed
+        # statistics (one unbounded epoch when reoptimize_every is None)
+        # and the running plan, and is the single funnel every plan change
+        # takes into the runtime's install (docs/engine.md)
         self.reoptimize_every = reoptimize_every
+        self._controller = AdaptiveController(
+            StatisticsCatalog(
+                default_selectivity=self.default_selectivity,
+                default_window=self.window,
+            ),
+            [],
+            self._optimizer_config,
+            solver=self.solver,
+        )
         self._loop = AdaptivityLoop(
+            self._controller,
             epoch_length=reoptimize_every,
+            cluster=self._optimizer_config.cluster,
             stats_window=stats_window,
             measure=self._measured_catalog,
         )
-        self._loop.on_change = self._on_plan_change
-        self._controller: Optional[AdaptiveController] = None
-        self._last_measured: Optional[StatisticsCatalog] = None
 
         # ingestion state
         self._pushed = 0
@@ -481,8 +486,6 @@ class JoinSession:
         self._listeners: Dict[str, List[Callable]] = {}
         self._cursors: Dict[str, int] = {}
         self._runtime: Optional[Runtime] = None
-        self._plan: Optional[SharedPlan] = None
-        self._catalog: Optional[StatisticsCatalog] = None
 
     # ------------------------------------------------------------------
     # fluent builders (all return self)
@@ -554,22 +557,25 @@ class JoinSession:
                 f"verification oracle use one window per relation; declare "
                 f"them with with_window() instead"
             )
-        if query.name in self._queries:
+        controller = self._controller
+        if query.name in controller.queries:
             raise DuplicateQueryError(
                 f"query {query.name!r} is already installed; remove it first "
                 f"or pick a distinct name"
             )
         self._end_warmup()
-        self._queries[query.name] = query
+        controller.add_query(query)
         activations = self._lifecycle.setdefault(query.name, [])
         activations.append(_Activation(query=query, from_seq=self._pushed))
         self._recompute_registered()
         try:
-            self._replan()
+            if self._runtime is not None:
+                self._rewire()
         except Exception:
-            # transactional: a failed solve must not leave a half-installed
-            # query accepting pushes the running topology silently drops
-            del self._queries[query.name]
+            # transactional: a failed solve or install must not leave a
+            # half-installed query accepting pushes the running topology
+            # silently drops
+            controller.remove_query(query.name)
             activations.pop()
             if not activations:
                 del self._lifecycle[query.name]
@@ -584,27 +590,29 @@ class JoinSession:
         Stores serving only this query release their state at the rewire
         (Section VI.B refcounting); shared stores are untouched.
         """
-        if name not in self._queries:
+        controller = self._controller
+        query = controller.queries.get(name)
+        if query is None:
             raise UnknownQueryError(
                 f"query {name!r} is not installed; active queries: "
-                f"{sorted(self._queries)}"
+                f"{sorted(controller.queries)}"
             )
         self._end_warmup()
-        query = self._queries.pop(name)
+        controller.remove_query(name)
         activation = self._lifecycle[name][-1]
         activation.to_seq = self._pushed
         self._recompute_registered()
         try:
-            if self._queries:
-                self._replan()
+            if self._runtime is not None and controller.queries:
+                self._rewire()
             elif self._runtime is not None:
                 # dormant: keep the runtime (results + windowed state)
                 # alive; the next add_query rewires it in place
                 self._runtime.flush()
         except Exception:
-            # transactional: a failed solve must not leave the query half
-            # removed while the old topology keeps answering it
-            self._queries[name] = query
+            # transactional: a failed solve or install must not leave the
+            # query half removed while the old topology keeps answering it
+            controller.add_query(query)
             activation.to_seq = None
             self._recompute_registered()
             raise
@@ -612,13 +620,13 @@ class JoinSession:
 
     def _recompute_registered(self) -> None:
         self._registered = frozenset(
-            rel for q in self._queries.values() for rel in q.relations
+            rel for q in self._controller.queries.values() for rel in q.relations
         )
 
     @property
     def queries(self) -> Dict[str, Query]:
         """Currently installed queries by name (copy)."""
-        return dict(self._queries)
+        return dict(self._controller.queries)
 
     @property
     def relations(self) -> frozenset:
@@ -938,8 +946,7 @@ class JoinSession:
         if runtime is not None and not runtime.metrics.failed:
             runtime.flush()
         self._observe_chunk()
-        loop = self._loop
-        plan = self._plan
+        loop, controller = self._loop, self._controller
         return {
             "ctor": {
                 "window": self.window,
@@ -962,7 +969,9 @@ class JoinSession:
                 "windows": dict(self._declared_windows),
                 "selectivities": dict(self._declared_selectivities),
             },
-            "queries": dict(self._queries),
+            "queries": dict(controller.queries),
+            "baseline": controller.current_plan,
+            "baseline_signature": controller.current_signature,
             "lifecycle": {
                 name: list(acts) for name, acts in self._lifecycle.items()
             },
@@ -984,10 +993,9 @@ class JoinSession:
                 "stats": loop.stats,
                 "closed": list(loop.closed),
                 "pending": dict(loop.pending),
+                "plan": loop.plan,
+                "catalog": loop.catalog,
             },
-            "plan": plan,
-            "plan_signature": plan_signature(plan) if plan is not None else None,
-            "catalog": self._catalog,
             "topology": runtime.topology if runtime is not None else None,
             "windows": dict(runtime.windows) if runtime is not None else None,
             "engine": runtime.dump_state() if runtime is not None else None,
@@ -996,8 +1004,10 @@ class JoinSession:
     @classmethod
     def _from_snapshot_state(cls, payload: Mapping[str, Any]) -> "JoinSession":
         """Rebuild a session object from a :meth:`_snapshot_state` payload."""
-        plan = payload["plan"]
-        if plan is not None and plan_signature(plan) != payload["plan_signature"]:
+        baseline = payload["baseline"]
+        if baseline is not None and (
+            plan_signature(baseline) != payload["baseline_signature"]
+        ):
             raise SessionError(
                 "snapshot is internally inconsistent: the saved plan does "
                 "not match its recorded signature"
@@ -1023,7 +1033,11 @@ class JoinSession:
         session._declared_rates = dict(declared["rates"])
         session._declared_windows = dict(declared["windows"])
         session._declared_selectivities = dict(declared["selectivities"])
-        session._queries = dict(payload["queries"])
+        controller = session._controller
+        for query in payload["queries"].values():
+            controller.add_query(query)
+        if baseline is not None:
+            controller.commit(baseline)
         session._lifecycle = {
             name: list(acts) for name, acts in payload["lifecycle"].items()
         }
@@ -1047,8 +1061,7 @@ class JoinSession:
         loop.closed.clear()
         loop.closed.extend(loop_state["closed"])
         loop.pending = dict(loop_state["pending"])
-        session._plan = plan
-        session._catalog = payload["catalog"]
+        loop.plan, loop.catalog = loop_state["plan"], loop_state["catalog"]
         engine_state = payload["engine"]
         if engine_state is None:
             # checkpointed before the first plan (warmup still buffering):
@@ -1062,7 +1075,6 @@ class JoinSession:
             payload["topology"], dict(payload["windows"])
         )
         session._runtime.load_state(engine_state)
-        session._seed_controller(plan, session._catalog)
         return session
 
     # ------------------------------------------------------------------
@@ -1114,7 +1126,7 @@ class JoinSession:
     # ------------------------------------------------------------------
     def start(self) -> "JoinSession":
         """Force planning now (otherwise the first push triggers it)."""
-        if not self._queries:
+        if not self._controller.queries:
             raise SessionError("cannot start a session with no queries")
         if self._runtime is None:
             self._start()
@@ -1132,7 +1144,7 @@ class JoinSession:
         ``metrics.decisions``), or ``None`` when this call produced the
         *first* plan (initial planning is not a decision).
         """
-        if not self._queries:
+        if not self._controller.queries:
             raise SessionError("cannot reoptimize a session with no queries")
         self._end_warmup()
         if self._runtime is None:
@@ -1187,35 +1199,16 @@ class JoinSession:
                 for callback in listeners:
                     callback(result)
 
-    def _seed_controller(self, plan: SharedPlan, catalog: StatisticsCatalog) -> None:
-        """Seed the controller with the deployed plan: every later
-        decision — epoch boundary, query churn, explicit reoptimize —
-        flows through the one loop → controller.decide → install path."""
-        queries = [self._queries[name] for name in sorted(self._queries)]
-        controller = AdaptiveController(
-            catalog,
-            queries,
-            self._optimizer_config,
-            solver=choose_solver(queries, self.solver),
-        )
-        controller.current_plan = plan
-        controller.current_signature = plan_signature(plan)
-        controller._dirty = False
-        self._controller = controller
-        self._loop.bind(controller, cluster=self._optimizer_config.cluster)
-
     def _start(self) -> None:
-        if not self._queries:
+        if not self._controller.queries:
             return
-        plan, catalog, topology = self._optimize()
+        topology = self._loop.deploy(self._build_catalog())
         self._runtime = self._build_runtime(topology, self._windows_map())
         # stragglers handled while warming up belong to the same counters
         metrics, early = self._runtime.metrics, self._warmup_metrics
         metrics.on_late_drop(early.late_dropped)
         metrics.on_dead_letter(early.dead_lettered)
         metrics.on_late_admit(early.late_admitted)
-        self._plan, self._catalog = plan, catalog
-        self._seed_controller(plan, catalog)
         # the drain below re-delivers the buffered prefix tuple-by-tuple
         # (the runtime's ingress re-admits it: same order, same verdicts,
         # same trusted seqs) and re-observes statistics on the way
@@ -1246,48 +1239,19 @@ class JoinSession:
                     f"({self._runtime.metrics.failure_reason})"
                 )
 
-    def _replan(self) -> None:
-        """Re-optimize the shared plan for a changed query set and rewire.
-
-        Query churn rides the same :class:`AdaptivityLoop` path as epoch
-        re-optimization: the controller's query set is synced and marked
-        dirty, so :meth:`_rewire` always produces and installs a topology.
-        """
-        if self._runtime is None:
-            return
-        controller = self._controller
-        saved = (dict(controller.queries), controller._dirty)
-        controller.queries = {
-            name: self._queries[name] for name in sorted(self._queries)
-        }
-        controller._dirty = True
-        try:
-            self._rewire()
-        except Exception:
-            # transactional: a failed solve must leave the controller (and
-            # the still-running topology) exactly as they were
-            controller.queries, controller._dirty = saved
-            raise
-
     def _rewire(self) -> Optional[DecisionRecord]:
         """Decide against the freshest observed statistics and install a
-        changed plan through the one ``loop.install`` funnel."""
-        runtime, controller = self._runtime, self._controller
+        changed plan through the one ``loop.rewire`` funnel."""
+        runtime = self._runtime
         runtime.flush()
         old = runtime.topology
-        queries = [self._queries[name] for name in sorted(self._queries)]
-        controller.solver = choose_solver(queries, self.solver)
-        catalog = self._build_catalog(queries)
         last_ts = runtime.ingress.last_ts
         record = self._loop.rewire(
             now=last_ts if last_ts != float("-inf") else 0.0,
+            measured=self._build_catalog(),
             windows=self._windows_map(),
-            measured=catalog,
         )
         if record is not None and record.changed:
-            # introspection state only after a successful install, so a
-            # failed rewire never reports a plan that is not running
-            self._plan, self._catalog = controller.current_plan, catalog
             # dropped *input* stores lose their windowed tuples for good
             # (MIR stores are re-derivable via backfill); remember the cut
             # so the verification oracle stops expecting results that
@@ -1297,16 +1261,7 @@ class JoinSession:
                     self._drops.setdefault(store_id, []).append(self._pushed)
         return record
 
-    def _optimize(self) -> Tuple[SharedPlan, StatisticsCatalog, Topology]:
-        queries = [self._queries[name] for name in sorted(self._queries)]
-        catalog = self._build_catalog(queries)
-        solver = choose_solver(queries, self.solver)
-        optimizer = MultiQueryOptimizer(catalog, self._optimizer_config, solver=solver)
-        result = optimizer.optimize(queries)
-        topology = build_topology(result.plan, catalog, self._optimizer_config.cluster)
-        return result.plan, catalog, topology
-
-    def _build_catalog(self, queries: Sequence[Query]) -> StatisticsCatalog:
+    def _build_catalog(self) -> StatisticsCatalog:
         """Catalog from the loop's current statistics snapshot.
 
         With ``reoptimize_every=None`` the loop keeps one unbounded epoch,
@@ -1318,36 +1273,16 @@ class JoinSession:
         # a subscriber that replans from inside push_batch sees the batch
         # observed up to its current item, as with one push at a time
         self._observe_chunk()
-        return self._catalog_from(
-            queries, self._loop.snapshot(), self._loop.elapsed()
-        )
+        return self._measured_catalog(self._loop.snapshot(), self._loop.elapsed())
 
     def _measured_catalog(
         self, stats: EpochStatistics, elapsed: Optional[float]
     ) -> StatisticsCatalog:
-        """The loop's ``measure`` hook: same layering as every session
-        catalog (defaults → observed → declared overrides)."""
-        queries = [self._queries[name] for name in sorted(self._queries)]
-        catalog = self._catalog_from(queries, stats, elapsed)
-        self._last_measured = catalog
-        return catalog
-
-    def _on_plan_change(self) -> None:
-        """An epoch-boundary decision changed the plan: refresh the
-        introspection state (:attr:`plan` / :attr:`catalog`)."""
-        if self._controller is not None:
-            self._plan = self._controller.current_plan
-            self._catalog = self._last_measured
-
-    def _catalog_from(
-        self,
-        queries: Sequence[Query],
-        stats: EpochStatistics,
-        elapsed: Optional[float],
-    ) -> StatisticsCatalog:
         """Catalog = defaults, then observed statistics, then declared
         overrides — the single estimator is
-        :meth:`EpochStatistics.fold_into` over ``elapsed`` event time."""
+        :meth:`EpochStatistics.fold_into` over ``elapsed`` event time.
+        Also the loop's ``measure`` hook for epoch decisions."""
+        queries = self._controller.query_list
         base = StatisticsCatalog(
             default_selectivity=self.default_selectivity,
             default_window=self.window,
@@ -1487,8 +1422,12 @@ class JoinSession:
     # ------------------------------------------------------------------
     @property
     def plan(self) -> Optional[SharedPlan]:
-        """The most recently installed shared plan (None before planning)."""
-        return self._plan
+        """The most recently installed shared plan (None before planning).
+
+        An epoch decision that changed the plan shows here only once its
+        install made it the running plan, together with :attr:`topology`.
+        """
+        return self._loop.plan
 
     @property
     def topology(self) -> Optional[Topology]:
@@ -1496,8 +1435,8 @@ class JoinSession:
 
     @property
     def catalog(self) -> Optional[StatisticsCatalog]:
-        """The catalog the current plan was optimized against."""
-        return self._catalog
+        """The catalog the installed plan was optimized against."""
+        return self._loop.catalog
 
     @property
     def metrics(self) -> Optional[EngineMetrics]:
@@ -1535,13 +1474,15 @@ class JoinSession:
 
     def describe(self) -> str:
         """Human-readable snapshot: plan objective, topology, traffic."""
+        queries = self._controller.queries
         lines = [
-            f"JoinSession: {len(self._queries)} queries "
-            f"{sorted(self._queries)}, {self._pushed} tuples pushed"
+            f"JoinSession: {len(queries)} queries "
+            f"{sorted(queries)}, {self._pushed} tuples pushed"
         ]
-        if self._plan is not None:
-            lines.append(f"plan objective: {self._plan.objective:g}")
-            lines.append(self._plan.describe())
+        plan = self.plan
+        if plan is not None:
+            lines.append(f"plan objective: {plan.objective:g}")
+            lines.append(plan.describe())
         if self.topology is not None:
             lines.append(self.topology.describe())
         return "\n".join(lines)

@@ -135,12 +135,12 @@ class TestController:
         assert ctrl.current_plan is not None
         assert plan_signature(ctrl.current_plan) == ctrl.current_signature
 
-    def test_decide_no_change_returns_none(self):
+    def test_decide_no_change_builds_no_topology(self):
         ctrl, _ = make_controller()
         ctrl.initial_topology()
         out = ctrl.decide(0, ctrl.base_catalog)
-        assert out is None
-        assert ctrl.decisions[-1].changed is False
+        assert out.topology is None
+        assert out.record.changed is False
 
     def test_decide_on_shifted_stats_changes_plan(self):
         ctrl, _ = make_controller()
@@ -149,16 +149,18 @@ class TestController:
         shifted.with_selectivity(JoinPredicate.of("S.b", "T.b"), 1e-4)
         shifted.with_selectivity(JoinPredicate.of("R.a", "S.a"), 0.5)
         out = ctrl.decide(0, shifted)
-        assert out is not None
+        assert out.record.changed and out.topology is not None
 
     def test_add_and_remove_query(self):
         ctrl, q = make_controller()
         ctrl.initial_topology()
         q2 = Query.of("q2", "S.b=T.b")
         ctrl.add_query(q2)
-        assert ctrl.decide(1, ctrl.base_catalog) is not None
+        added = ctrl.decide(1, ctrl.base_catalog)
+        assert added.record.changed and added.topology is not None
+        ctrl.commit(added.plan)
         ctrl.remove_query("q2")
-        assert ctrl.decide(2, ctrl.base_catalog) is not None
+        assert ctrl.decide(2, ctrl.base_catalog).record.changed
         with pytest.raises(KeyError):
             ctrl.remove_query("q2")
         with pytest.raises(ValueError):
@@ -173,7 +175,7 @@ class TestController:
         assert counts["S"] == 2 and counts["T"] == 2  # shared by both
         assert counts["R"] == 1 and counts["U"] == 1
         ctrl.remove_query("q2")
-        ctrl.decide(0, ctrl.base_catalog)
+        ctrl.commit(ctrl.decide(0, ctrl.base_catalog).plan)
         counts = ctrl.refcounts()
         assert counts["S"] == 1 and counts["T"] == 1
 
@@ -226,7 +228,9 @@ class TestAdaptiveRuntime:
         rt.run(inputs)
         for record in rt.switches:
             decision = next(
-                d for d in ctrl.decisions if d.changed and d.epoch == record.epoch - 2
+                d
+                for d in rt.metrics.decisions
+                if d.changed and d.epoch == record.epoch - 2
             )
             assert decision.epoch == record.epoch - 2
 
@@ -270,7 +274,10 @@ class TestAdaptiveRuntime:
             )
             rt.run(inputs)
             runs[batch_size] = (
-                [(d.epoch, d.changed, round(d.objective, 6)) for d in ctrl.decisions],
+                [
+                    (d.epoch, d.changed, round(d.objective, 6))
+                    for d in rt.metrics.decisions
+                ],
                 [(s.epoch, s.time, s.added_stores, s.removed_stores) for s in rt.switches],
                 result_keys(rt.results("q")),
             )

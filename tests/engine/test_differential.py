@@ -41,6 +41,7 @@ semantic drift shows up as a result-set difference on at least one seed.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -50,6 +51,7 @@ from repro.core import (
     OptimizerConfig,
     Query,
     StatisticsCatalog,
+    Topology,
     build_topology,
 )
 from repro.core.adaptive import AdaptiveController
@@ -63,6 +65,8 @@ from repro.engine import (
     reference_join,
     result_keys,
 )
+from repro.engine.routing import storage_task
+from repro.experiments.timed import TimedSimulator
 from repro.streams.generators import (
     StreamSpec,
     bounded_delay_feed,
@@ -279,6 +283,56 @@ def assert_engine_equals_reference(runtime, queries, streams, windows):
         assert expected == got, (
             f"{query.name}: {describe_result_diff(expected, got)}"
         )
+
+
+class TestStoragePlacement:
+    """One placement rule for stored tuples: wherever the cascade (engine
+    or timed simulator) stored a tuple is where
+    :func:`~repro.engine.routing.storage_task` puts it by the store's
+    partitioning attribute — so a repartitioning moves nothing.
+
+    ``broadcast`` runs the same plan with every store unpartitioned: every
+    edge broadcasts, and storage edges fall back to a hash of the whole
+    tuple."""
+
+    @pytest.mark.parametrize("broadcast", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stored_tuples_sit_where_a_repartitioning_puts_them(
+        self, seed, broadcast
+    ):
+        queries, relations, streams, inputs, windows, _ = random_workload(seed)
+        topology = compile_topology(queries, relations, windows, 3, seed)
+        if broadcast:
+            topology = Topology(
+                stores={
+                    store_id: replace(spec, partition_attr=None)
+                    for store_id, spec in topology.stores.items()
+                },
+                edges={
+                    label: replace(edge, route_by=None)
+                    for label, edge in topology.edges.items()
+                },
+                rulesets=topology.rulesets,
+                ingest=topology.ingest,
+                queries=topology.queries,
+            )
+        for runtime in (
+            TopologyRuntime(topology, windows),
+            TimedSimulator(topology, windows),
+        ):
+            runtime.run(inputs)
+            assert_engine_equals_reference(runtime, queries, streams, windows)
+            stored = moved = 0
+            for store_id, tasks in runtime.tasks.items():
+                spec = topology.stores[store_id]
+                assert len(tasks) == spec.parallelism == 3
+                for index, task in enumerate(tasks):
+                    for tup in task.container.iter_tuples():
+                        stored += 1
+                        if storage_task(spec, tup, spec.partition_attr) != index:
+                            moved += 1
+            assert stored > 0
+            assert moved == 0, f"{moved} of {stored} tuples would move"
 
 
 class TestDifferentialLogical:
@@ -1249,7 +1303,7 @@ class TestDifferentialUnifiedAdaptivity:
         report = session.verify()
         assert report.ok, report.describe()
 
-        controller, twin = self._twin(
+        _, twin = self._twin(
             queries, relations, windows, parallelism, bound, solver
         )
         twin.run(feed)
@@ -1257,7 +1311,6 @@ class TestDifferentialUnifiedAdaptivity:
         # decision-for-decision: every epoch boundary consulted the
         # optimizer with the same measured statistics → same records
         assert session.decisions, "no epoch boundary was ever crossed"
-        assert session.decisions == controller.decisions
         assert session.decisions == twin.metrics.decisions
         # switch-for-switch: changed plans install at identical epochs
         assert [
@@ -1291,11 +1344,11 @@ class TestDifferentialUnifiedAdaptivity:
                 ), field
         session.close()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_observed_drift_flips_plan_without_churn(self, workers):
-        """A deterministic drift scenario: the feed's observed selectivities
-        contradict the defaults, so the loop's epoch decision re-optimizes
-        and installs a new plan with *no* query churn — and stays exact."""
+    @staticmethod
+    def _drift_session(workers):
+        """A session whose defaults the feed contradicts, and that feed:
+        R.a=S.a matches almost never, S.b=T.b always — the measured catalog
+        inverts the default ordering pressure."""
         from repro import JoinSession
 
         session = JoinSession(
@@ -1311,8 +1364,6 @@ class TestDifferentialUnifiedAdaptivity:
         rng = random.Random(23)
         feed = []
         ts = 0.05
-        # R.a=S.a matches almost never, S.b=T.b always — the measured
-        # catalog inverts the default ordering pressure
         for i in range(220):
             rel = ("R", "S", "T")[i % 3]
             values = {
@@ -1322,6 +1373,14 @@ class TestDifferentialUnifiedAdaptivity:
             }[rel]
             feed.append((rel, values, ts))
             ts += 0.04
+        return session, feed
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_observed_drift_flips_plan_without_churn(self, workers):
+        """A deterministic drift scenario: the feed's observed selectivities
+        contradict the defaults, so the loop's epoch decision re-optimizes
+        and installs a new plan with *no* query churn — and stays exact."""
+        session, feed = self._drift_session(workers)
         for rel, values, t in feed:
             session.push(rel, values, t)
         session.flush()
@@ -1331,6 +1390,30 @@ class TestDifferentialUnifiedAdaptivity:
         assert session.metrics.rewires == len(session.rewires)
         report = session.verify()
         assert report.ok, report.describe()
+        session.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plan_changes_with_the_installed_topology(self, workers):
+        """``session.plan`` and ``session.catalog`` describe the installed
+        plan: an epoch decision that picks a new plan shows there at the
+        push whose boundary installs it, never one epoch earlier."""
+        session, feed = self._drift_session(workers)
+        seen = (None, None, None)
+        changes = {"plan": [], "catalog": [], "topology": []}
+        for index, (rel, values, t) in enumerate(feed):
+            session.push(rel, values, t)
+            now = (session.plan, session.catalog, session.topology)
+            for name, before, after in zip(changes, seen, now):
+                if after is not before:
+                    changes[name].append(index)
+            seen = now
+        assert len(changes["topology"]) > 1, "the drifted plan never installed"
+        assert changes["plan"] == changes["topology"]
+        assert changes["catalog"] == changes["topology"]
+        assert session.describe().splitlines()[2:] == [
+            *session.plan.describe().splitlines(),
+            *session.topology.describe().splitlines(),
+        ]
         session.close()
 
     def test_explicit_reoptimize_is_a_recorded_decision(self):

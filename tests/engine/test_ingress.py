@@ -199,7 +199,7 @@ class TestSnapshotLayout:
         assert "first_ts" not in payload["ingest"]
 
     def test_version_1_snapshot_is_refused_by_name(self, tmp_path):
-        assert SNAPSHOT_VERSION == 6
+        assert SNAPSHOT_VERSION == 7
         path = tmp_path / "v1.snap"
         with open(path, "wb") as handle:
             pickle.dump(
@@ -260,6 +260,21 @@ class TestSnapshotLayout:
         with pytest.raises(SnapshotError, match="payload version 5"):
             read_snapshot(path)
         with pytest.raises(SnapshotError, match="payload version 5"):
+            JoinSession.restore(path)
+
+    def test_version_6_snapshot_is_refused_by_name(self, tmp_path):
+        """v6 payloads hold one ``plan`` that was both the installed plan and
+        the decision baseline, and pending topologies without their plans;
+        there is no cross-version reader."""
+        path = tmp_path / "v6.snap"
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"magic": SNAPSHOT_MAGIC, "version": 6, "payload": {"ingest": {}}},
+                handle,
+            )
+        with pytest.raises(SnapshotError, match="payload version 6"):
+            read_snapshot(path)
+        with pytest.raises(SnapshotError, match="payload version 6"):
             JoinSession.restore(path)
 
 

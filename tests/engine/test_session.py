@@ -33,6 +33,7 @@ from repro import (
 from repro.core import ClusterConfig, MultiQueryOptimizer, OptimizerConfig
 from repro.core.adaptive import diff_topologies
 from repro.engine import input_tuple, reference_join, result_keys
+from repro.engine.sharding import ShardFailedError
 from repro.streams import (
     StreamSpec,
     bounded_delay_feed,
@@ -561,12 +562,14 @@ class TestSessionBasics:
 
     def test_failed_replan_leaves_session_unchanged(self, monkeypatch):
         """add_query/remove_query are transactional: a solver failure must
-        not leave a half-installed query silently dropping pushes."""
+        not leave a half-installed query silently dropping pushes, and an
+        install that raises must leave no decision, baseline or plan of a
+        topology that never ran."""
         session = basic_session()
         session.push("R", {"a": 1}, ts=0.1)
         queries_before = session.queries
 
-        def boom(queries):
+        def boom(*_):
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(session, "_build_catalog", boom)
@@ -581,6 +584,33 @@ class TestSessionBasics:
             session.remove_query("q1")
         assert session.queries == queries_before
         monkeypatch.undo()
+
+        # the solve succeeds and the install raises once per step (a dead
+        # shard raises ShardFailedError there)
+        plan, decisions = session.plan, session.decisions
+        rewires = session.rewires
+        installs = []
+
+        def dead_install(*args, **kwargs):
+            installs.append(args)
+            raise ShardFailedError("shard 1 is gone")
+
+        monkeypatch.setattr(session._runtime, "install", dead_install)
+        with pytest.raises(ShardFailedError):
+            session.add_query("q3", "S.b=T.b")
+        with pytest.raises(ShardFailedError):
+            session.remove_query("q1")
+        monkeypatch.undo()
+        assert len(installs) == 2
+        assert session.queries == queries_before
+        assert session.plan is plan
+        assert session.decisions == decisions
+        assert session.rewires == rewires
+        # the decision baseline is still the running plan
+        record = session.reoptimize()
+        assert record is not None and record.changed is False
+        assert session.rewires == rewires
+        assert session.decisions == [*decisions, record]
         # the session is still fully operational after both failures
         session.push("S", {"a": 1, "b": 2}, ts=0.2)
         session.push("T", {"b": 2, "c": 3}, ts=0.3)

@@ -9,6 +9,7 @@ unification and the snapshot file format's error surface.
 """
 
 import pickle
+import random
 
 import pytest
 
@@ -208,6 +209,74 @@ class TestCrashRecoveryDifferential:
         assert [
             (d.epoch, d.changed) for d in restored.metrics.decisions
         ] == [(d.epoch, d.changed) for d in baseline.metrics.decisions]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_between_epoch_decision_and_install(
+        self, tmp_path, workers
+    ):
+        """A checkpoint taken after an epoch decision picked a new plan and
+        before the boundary that installs it: the restored session reports
+        the running plan, installs the pending one on schedule, and finishes
+        with the decisions, switches and results of the uninterrupted run."""
+
+        def build():
+            return JoinSession(
+                window=6.0,
+                solver="scipy",
+                default_rate=8.0,
+                default_selectivity=0.5,
+                workers=workers if workers > 1 else None,
+                worker_transport="inline",
+                reoptimize_every=2.0,
+            ).add_query("q", "R.a=S.a", "S.b=T.b")
+
+        # the observed selectivities contradict the defaults, so an epoch
+        # decision changes the plan with no query churn
+        rng = random.Random(23)
+        items = []
+        for i in range(220):
+            rel = ("R", "S", "T")[i % 3]
+            values = {
+                "R": {"a": rng.randrange(50)},
+                "S": {"a": rng.randrange(50) + 100, "b": 1},
+                "T": {"b": 1, "c": rng.randrange(4)},
+            }[rel]
+            items.append((rel, values, 0.05 + 0.04 * i))
+
+        baseline = build()
+        for item in items:
+            baseline.push(*item)
+        baseline.flush()
+
+        interrupted = build()
+        for cut, item in enumerate(items, start=1):
+            interrupted.push(*item)
+            decided = sum(d.changed for d in interrupted.decisions)
+            if decided > len(interrupted.rewires):
+                break  # decided, not yet installed
+        else:
+            pytest.fail("no epoch decision ever changed the plan")
+        path = tmp_path / "decided.snap"
+        interrupted.checkpoint(path)
+        restored = JoinSession.restore(path)
+        interrupted.close()
+        assert restored.plan == interrupted.plan
+        assert restored.topology == interrupted.topology
+        for item in items[cut:]:
+            restored.push(*item)
+        restored.flush()
+        assert restored.decisions == baseline.decisions
+        assert [
+            (s.epoch, s.time, s.added_stores, s.removed_stores)
+            for s in restored.rewires
+        ] == [
+            (s.epoch, s.time, s.added_stores, s.removed_stores)
+            for s in baseline.rewires
+        ]
+        assert restored.plan == baseline.plan
+        assert_parity(restored, baseline)
+        restored.close()
+        baseline.close()
 
     def test_dead_letters_survive_restore(self, tmp_path):
         session = JoinSession(
