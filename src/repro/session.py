@@ -55,7 +55,7 @@ the underlying :class:`~repro.core.query.Query` constructor.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
 from typing import (
     Any,
@@ -274,8 +274,9 @@ class JoinSession:
         :class:`~repro.engine.sharding.ShardedRuntime`: every stream is
         hash-partitioned by its join key over N processes, each owning one
         shard of every store, with results merged deterministically — the
-        result sets (and their order) are exactly those of ``workers=1``
-        (docs/engine.md, "Sharded execution").  Call :meth:`close` (or use
+        result counts and sets are exactly those of ``workers=1``, the
+        order only where docs/engine.md, "Sharded execution", says so (in
+        general it differs).  Call :meth:`close` (or use
         the session as a context manager) to terminate the pool.
     worker_transport:
         Shard transport, ``"process"`` (real ``multiprocessing`` workers)
@@ -287,8 +288,13 @@ class JoinSession:
     optimizer_config / runtime_config:
         Full-control overrides for the ILP construction and engine knobs.
     record_streams:
-        Keep the pushed tuple history for :meth:`verify` (disable for
-        long-running production sessions).
+        Keep the pushed tuple history for :meth:`verify` and every result
+        for :meth:`results` / :meth:`take` (the default).  ``False`` is for
+        long-running production sessions: the session keeps neither, so
+        results reach subscribers only (the runtime runs with
+        ``collect_outputs=False``, also under an explicit
+        ``runtime_config``) and :meth:`verify` raises.  Dead letters are
+        kept either way.
     warmup:
         Defer the first plan until this many tuples were pushed, so the
         initial plan already uses *observed* statistics (0 plans at the
@@ -413,6 +419,13 @@ class JoinSession:
             )
             self.disorder_bound = (
                 None if disorder_bound is None else float(disorder_bound)
+            )
+        if not record_streams:
+            # a session retains results iff record_streams and
+            # collect_outputs are both true: a production session's results
+            # reach its subscribers and are not kept
+            self._runtime_config = replace(
+                self._runtime_config, collect_outputs=False
             )
         if worker_transport not in ("process", "inline"):
             raise ValueError(
@@ -1084,7 +1097,9 @@ class JoinSession:
         """All results produced so far for ``name`` (flushes first).
 
         Works for removed queries too — their outputs stay readable for the
-        session's lifetime."""
+        session's lifetime.  A session retains results iff
+        ``record_streams`` and ``collect_outputs`` are both true; otherwise
+        this is always ``[]`` (use :meth:`subscribe`)."""
         self._check_known(name)
         if self._runtime is None:
             return []
@@ -1094,7 +1109,8 @@ class JoinSession:
     def take(self, name: str) -> List[StreamTuple]:
         """Results produced since the last :meth:`take` (an iterator-style
         cursor per query; flushes first).  Only the new tail is copied, so
-        polling stays linear over a session's lifetime."""
+        polling stays linear over a session's lifetime.  Always ``[]`` on
+        a session that retains no results (see :meth:`results`)."""
         self._check_known(name)
         if self._runtime is None:
             return []
