@@ -144,11 +144,6 @@ class RuntimeConfig:
     #: ``checked``/flow metrics are exactly invariant to this flag; it only
     #: defers (and often avoids) intermediate-tuple materialization.
     vectorized_cascades: bool = True
-    #: policy for inputs that violate the arrival-order contract: "raise"
-    #: surfaces :class:`LateArrivalError`, "drop" discards the tuple before
-    #: any state mutation and counts it in ``metrics.late_dropped`` (the
-    #: dead-letter policy the session facade exposes as ``on_late``)
-    on_late: str = "raise"
     #: shard the topology across this many worker processes
     #: (:class:`~repro.engine.sharding.ShardedRuntime`); 1 runs the
     #: single-process engine in this process
@@ -158,11 +153,6 @@ class RuntimeConfig:
         check_backend_name(self.store_backend)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.on_late not in ("raise", "drop"):
-            raise ValueError(
-                f"unknown late-tuple policy {self.on_late!r}; "
-                f"expected 'raise' or 'drop'"
-            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.workers > 1 and self.memory_limit_units is not None:
@@ -337,21 +327,14 @@ class Runtime:
 
         A failed runtime ignores further pushes (stop-at-failure; inspect
         ``metrics.failed`` / ``metrics.failure_reason``).  A tuple the
-        ingress rejects surfaces :class:`LateArrivalError`, or under
-        ``on_late="drop"`` is counted in ``metrics.late_dropped`` and
-        discarded — the rejection precedes any state mutation, so the
-        engine is left exactly as if the tuple never arrived (it is not
-        counted in ``inputs_ingested``).
+        ingress rejects raises :class:`LateArrivalError` — the rejection
+        precedes any state mutation, so a caller that catches it and goes
+        on leaves the engine exactly as if the tuple never arrived (it is
+        not counted in ``inputs_ingested``).
         """
         if self.metrics.failed:
             return False
-        try:
-            self.ingress.admit(tup)
-        except LateArrivalError:
-            if self.config.on_late == "drop":
-                self.metrics.late_dropped += 1
-                return False
-            raise
+        self.ingress.admit(tup)
         return True
 
     def _emit(self, query: str, results: Sequence[StreamTuple]) -> None:

@@ -32,14 +32,14 @@ Driver/worker split
 -------------------
 :class:`ShardedRuntime` is the driver.  Its
 :class:`~repro.engine.ingress.Ingress` owns global arrival order: arrival
-validation (ordered or watermark contract, honouring
-``RuntimeConfig.on_late``), arrival-sequence assignment, and the
-authoritative per-stream high waters.  Tuples are fanned out in batches
-over ``multiprocessing`` pipes together with a high-water snapshot; workers
-max-merge the snapshot *after* processing the batch (never before — an
-early snapshot could advance the eviction watermark past a tuple still in
-the batch), so worker-local eviction horizons only ever lag the globally
-safe watermark.  On ``flush`` the driver drains every worker and merges
+validation (ordered or watermark contract; a straggler raises
+:class:`~repro.engine.ingress.LateArrivalError`), arrival-sequence
+assignment, and the authoritative per-stream high waters.  Tuples are
+fanned out in batches over ``multiprocessing`` pipes together with a
+high-water snapshot; workers max-merge the snapshot *after* processing the
+batch (never before — an early snapshot could advance the eviction
+watermark past a tuple still in the batch), so worker-local eviction
+horizons only ever lag the globally safe watermark.  On ``flush`` the driver drains every worker and merges
 their emission logs deterministically, ordered by ``(result seq, shard,
 local order)``, so outputs are reproducible run over run and exactly equal
 to the single-process result sets.
@@ -767,7 +767,7 @@ class ShardedRuntime(Runtime):
         self._stats_sink = stats_sink
         # a worker runs the plain single-process engine on its shard
         self._worker_config = replace(
-            self.config, workers=1, collect_outputs=False, on_late="raise"
+            self.config, workers=1, collect_outputs=False
         )
         self._shards = self._spawn_pool()
         self._finalizer = weakref.finalize(

@@ -397,14 +397,6 @@ class JoinSession:
                 raise ValueError(
                     "workers given both directly and via runtime_config"
                 )
-            if runtime_config.on_late == "drop":
-                raise ValueError(
-                    "runtime_config.on_late='drop' would drop stragglers "
-                    "inside the engine, invisibly to the session's history "
-                    "and verification oracle; use JoinSession(on_late="
-                    "'drop') — the session counts the drop and keeps its "
-                    "records consistent"
-                )
             self._runtime_config = runtime_config
             self.disorder_bound = (
                 float(disorder_bound)

@@ -198,84 +198,35 @@ class TestSnapshotLayout:
             assert retired not in payload["ingest"]
         assert "first_ts" not in payload["ingest"]
 
-    def test_version_1_snapshot_is_refused_by_name(self, tmp_path):
-        assert SNAPSHOT_VERSION == 7
-        path = tmp_path / "v1.snap"
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"magic": SNAPSHOT_MAGIC, "version": 1, "payload": {"ingest": {}}},
-                handle,
-            )
-        with pytest.raises(SnapshotError, match="payload version 1"):
-            read_snapshot(path)
-        with pytest.raises(SnapshotError, match="payload version 1"):
-            JoinSession.restore(path)
 
-    def test_version_2_snapshot_is_refused_by_name(self, tmp_path):
-        """v2 payloads pickle a RuntimeConfig with mode/profile/num_machines
-        and store tasks with ``next_free``; there is no cross-version reader."""
-        path = tmp_path / "v2.snap"
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"magic": SNAPSHOT_MAGIC, "version": 2, "payload": {"ingest": {}}},
-                handle,
-            )
-        with pytest.raises(SnapshotError, match="payload version 2"):
-            JoinSession.restore(path)
+#: every retired payload layout, and why no reader for it exists
+RETIRED_LAYOUTS = {
+    1: "order state in the session's ingest keys and three engine fields",
+    2: "RuntimeConfig with mode/profile/num_machines, tasks with next_free",
+    3: "container dumps without composite indexes, with active_attrs",
+    4: "task containers keyed by epoch, auto-backend keys, an engine epoch",
+    5: "EngineMetrics with per-result latencies and latency_samples lists",
+    6: "one plan as both installed plan and decision baseline",
+    7: "RuntimeConfig with on_late, and the outputs a record_streams=False "
+    "session collected before it stopped keeping them",
+}
 
-    def test_version_3_snapshot_is_refused_by_name(self, tmp_path):
-        """v3 container dumps have no composite indexes, attribute-only code
-        columns and an ``active_attrs`` list; there is no cross-version reader."""
-        path = tmp_path / "v3.snap"
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"magic": SNAPSHOT_MAGIC, "version": 3, "payload": {"ingest": {}}},
-                handle,
-            )
-        with pytest.raises(SnapshotError, match="payload version 3"):
-            JoinSession.restore(path)
 
-    def test_version_4_snapshot_is_refused_by_name(self, tmp_path):
-        """v4 task dumps hold a ``containers`` map keyed by epoch and the
-        auto-backend keys, engine dumps an ``epoch``; no cross-version reader."""
-        path = tmp_path / "v4.snap"
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"magic": SNAPSHOT_MAGIC, "version": 4, "payload": {"ingest": {}}},
-                handle,
-            )
-        with pytest.raises(SnapshotError, match="payload version 4"):
-            JoinSession.restore(path)
-
-    def test_version_5_snapshot_is_refused_by_name(self, tmp_path):
-        """v5 payloads pickle ``EngineMetrics`` with the per-result
-        ``latencies`` / ``latency_samples`` lists, which would load and then
-        be carried forever; there is no cross-version reader."""
-        path = tmp_path / "v5.snap"
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"magic": SNAPSHOT_MAGIC, "version": 5, "payload": {"ingest": {}}},
-                handle,
-            )
-        with pytest.raises(SnapshotError, match="payload version 5"):
-            read_snapshot(path)
-        with pytest.raises(SnapshotError, match="payload version 5"):
-            JoinSession.restore(path)
-
-    def test_version_6_snapshot_is_refused_by_name(self, tmp_path):
-        """v6 payloads hold one ``plan`` that was both the installed plan and
-        the decision baseline, and pending topologies without their plans;
-        there is no cross-version reader."""
-        path = tmp_path / "v6.snap"
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"magic": SNAPSHOT_MAGIC, "version": 6, "payload": {"ingest": {}}},
-                handle,
-            )
-        with pytest.raises(SnapshotError, match="payload version 6"):
-            read_snapshot(path)
-        with pytest.raises(SnapshotError, match="payload version 6"):
-            JoinSession.restore(path)
+@pytest.mark.parametrize(
+    "version", sorted(RETIRED_LAYOUTS), ids=list(RETIRED_LAYOUTS.values())
+)
+def test_retired_snapshot_version_is_refused_by_name(tmp_path, version):
+    assert SNAPSHOT_VERSION == 8
+    path = tmp_path / f"v{version}.snap"
+    with open(path, "wb") as handle:
+        pickle.dump(
+            {"magic": SNAPSHOT_MAGIC, "version": version, "payload": {"ingest": {}}},
+            handle,
+        )
+    with pytest.raises(SnapshotError, match=f"payload version {version}"):
+        read_snapshot(path)
+    with pytest.raises(SnapshotError, match=f"payload version {version}"):
+        JoinSession.restore(path)
 
 
 # ----------------------------------------------------------------------
@@ -311,41 +262,39 @@ def run_engine(make, feed):
     """Feed fresh tuples through one engine, one at a time.
 
     Returns per tuple whether it was admitted (the engine's input count
-    moved) and its arrival seq, plus the engine's ``late_dropped``.
+    moved) and its arrival seq, plus how many tuples were dropped: a
+    session's ``late_dropped`` under ``on_late="drop"``, or how many
+    :class:`LateArrivalError` rejections a runtime raised and this harness
+    caught.
     """
     engine = make()
     try:
-        verdicts, seqs = [], []
+        verdicts, seqs, caught = [], [], 0
         for relation, ts in feed:
             item = tup(relation, ts)
-            before = push(engine, item)
-            verdicts.append(push(engine, None) - before)
+            if isinstance(engine, JoinSession):
+                before = engine.pushed
+                engine.push_batch([item])
+                verdicts.append(engine.pushed - before)
+            else:
+                before = engine.metrics.inputs_ingested
+                try:
+                    engine.process(item)
+                except LateArrivalError:
+                    caught += 1
+                    # the rejection precedes every state mutation
+                    assert engine.metrics.inputs_ingested == before
+                verdicts.append(engine.metrics.inputs_ingested - before)
             seqs.append(item.seq)
-        return verdicts, seqs, finish(engine).late_dropped
+        if isinstance(engine, JoinSession):
+            # a warmup longer than the feed is still buffering: end it, so
+            # the buffer-time verdicts are folded into the metrics compared
+            return verdicts, seqs, engine.start().flush().metrics.late_dropped
+        engine.flush()
+        assert engine.metrics.late_dropped == 0
+        return verdicts, seqs, caught
     finally:
         engine.close()
-
-
-def push(engine, item):
-    """Push ``item`` (if any); the number of inputs taken in *before* it."""
-    if isinstance(engine, JoinSession):
-        before = engine.pushed
-        if item is not None:
-            engine.push_batch([item])
-        return before
-    before = engine.metrics.inputs_ingested
-    if item is not None:
-        engine.process(item)
-    return before
-
-
-def finish(engine):
-    if isinstance(engine, JoinSession):
-        # a warmup longer than the feed is still buffering: end it, so the
-        # buffer-time verdicts are folded into the metrics being compared
-        return engine.start().flush().metrics
-    engine.flush()
-    return engine.metrics
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,7 +303,7 @@ def test_every_entry_point_reaches_the_same_verdicts_and_seqs(case, warmup):
     bound, feed = case
 
     def runtime(cls, **kwargs):
-        config = RuntimeConfig(disorder_bound=bound, on_late="drop", **kwargs)
+        config = RuntimeConfig(disorder_bound=bound, **kwargs)
         if cls is ShardedRuntime:
             return cls(_TOPOLOGY, _WINDOWS, config, transport="inline")
         return cls(_TOPOLOGY, _WINDOWS, config)

@@ -31,7 +31,7 @@ from repro import (
     build_topology,
 )
 from repro.core import ClusterConfig, MultiQueryOptimizer, OptimizerConfig
-from repro.core.adaptive import diff_topologies
+from repro.core.adaptive import diff_topologies, plan_signature
 from repro.engine import input_tuple, reference_join, result_keys
 from repro.engine.sharding import ShardFailedError
 from repro.streams import (
@@ -428,6 +428,56 @@ class TestSolverKnob:
             JoinSession.restore(path)
 
 
+class TestFirstPushPlans:
+    """A session without a warmup plans at :meth:`start` or at its first
+    push, to the same plan and the same epoch decisions either way."""
+
+    @pytest.mark.parametrize("entry", ["push", "push_batch"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_push_plans_as_start_does(self, workers, entry):
+        def build():
+            return basic_session(workers=workers, worker_transport="inline")
+
+        started = build().start()
+        session = build()
+        assert session.plan is None and session.metrics is None
+        if entry == "push":
+            session.push("R", {"a": 1}, ts=0.5)
+        else:
+            session.push_batch([("R", {"a": 1}, 0.5)])
+        assert plan_signature(session.plan) == plan_signature(started.plan)
+        assert session.pushed == session.metrics.inputs_ingested == 1
+        session.close()
+        started.close()
+
+    def test_first_push_past_an_epoch_boundary_decides_as_after_start(self):
+        """The first push plans, then crosses the epochs its timestamp
+        closes before it is delivered — as the same push does on a session
+        that was started before it."""
+        _, inputs = generate_streams(chain_specs("RSTU", 8.0, 4), 3.0, seed=21)
+        feed = [
+            (t.trigger, {k.split(".", 1)[1]: v for k, v in t.values.items()},
+             t.trigger_ts + 5.0)
+            for t in inputs
+        ]
+        runs = []
+        for start in (False, True):
+            session = basic_session(reoptimize_every=1.0)
+            if start:
+                session.start()
+            session.push_batch(feed)
+            session.flush()
+            runs.append(session)
+        lazy, started = runs
+        assert lazy.decisions and [
+            (d.epoch, d.changed, d.objective) for d in lazy.decisions
+        ] == [(d.epoch, d.changed, d.objective) for d in started.decisions]
+        assert result_keys(lazy.results("q1")) == result_keys(
+            started.results("q1")
+        )
+        assert lazy.verify(raise_on_mismatch=True).ok
+
+
 class TestSessionBasics:
     def test_matches_manual_wiring(self):
         """The facade produces exactly the result sets of the five-step
@@ -683,6 +733,8 @@ class TestSessionBasics:
         session.add_query("q3", "U.d=V.d")  # V: brand-new, stays silent
         runtime = session._runtime
         assert runtime.watermark() > float("-inf")
+
+    def test_verify_ends_a_buffering_warmup(self):
         """verify() on a still-buffering warmup must not report a phantom
         mismatch — it ends the warmup and compares real results."""
         session = basic_session(warmup=10)

@@ -207,12 +207,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="workers"):
             JoinSession(workers=2, runtime_config=RuntimeConfig(workers=1))
 
-    def test_session_rejects_engine_side_drop(self):
-        """Engine-side silent drops would desynchronize the session's
-        history and oracle; the session owns the drop policy."""
-        with pytest.raises(ValueError, match="on_late"):
-            JoinSession(runtime_config=RuntimeConfig(on_late="drop"))
-
 
 class TestReshard:
     def test_partition_class_change_takes_slow_path(self):

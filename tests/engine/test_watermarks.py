@@ -20,7 +20,9 @@ from repro.core.optimizer import MultiQueryOptimizer
 from repro.engine import (
     AdaptiveRuntime,
     Container,
+    LateArrivalError,
     RuntimeConfig,
+    ShardedRuntime,
     TopologyRuntime,
     input_tuple,
     orient_predicates,
@@ -167,8 +169,10 @@ class TestWatermarkRuntime:
 
 
 class TestBareRuntimeLateDrop:
-    """`RuntimeConfig(on_late="drop")`: the bare runtime supports the
-    session's dead-letter policy directly (previously session-only)."""
+    """A bare runtime always raises :class:`LateArrivalError`; the
+    rejection precedes every state mutation, so a caller that catches it
+    and goes on drops the straggler as a session's ``on_late="drop"``
+    does."""
 
     def _feed(self):
         """Watermark-mode feed with two genuine stragglers (bound 1.0)."""
@@ -180,28 +184,38 @@ class TestBareRuntimeLateDrop:
             input_tuple("R", 2.0, {"a": 1}),  # late
         ]
 
-    def test_config_validates_policy(self):
-        with pytest.raises(ValueError, match="late-tuple policy"):
-            RuntimeConfig(on_late="ignore")
+    def _run_catching(self, runtime):
+        """Process the feed, catching each rejection; returns how many."""
+        caught = 0
+        for tup in self._feed():
+            before = runtime.metrics.inputs_ingested
+            try:
+                runtime.process(tup)
+            except LateArrivalError:
+                caught += 1
+                # refused before any state changed: not ingested
+                assert runtime.metrics.inputs_ingested == before
+        runtime.flush()
+        return caught
 
-    def test_drop_counts_and_skips_stragglers(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caught_stragglers_are_skipped(self, workers):
         query, topology, windows, *_ = small_topology()
-        runtime = TopologyRuntime(
-            topology,
-            windows,
-            RuntimeConfig(disorder_bound=1.0, on_late="drop"),
-        )
-        runtime.run(self._feed())
-        assert runtime.metrics.late_dropped == 2
-        # dropped tuples were never ingested nor joined
-        assert runtime.metrics.inputs_ingested == 3
-        # S@5.0 and S@4.5 each join R@5.0 (seq visibility); the dropped
-        # R stragglers produce nothing
-        assert len(runtime.results("q")) == 2
+        config = RuntimeConfig(disorder_bound=1.0, workers=workers)
+        if workers == 1:
+            runtime = TopologyRuntime(topology, windows, config)
+        else:
+            runtime = ShardedRuntime(topology, windows, config, transport="inline")
+        with runtime:
+            assert self._run_catching(runtime) == 2
+            # the caught tuples were never ingested nor joined
+            assert runtime.metrics.inputs_ingested == 3
+            assert runtime.metrics.late_dropped == 0  # the caller's count
+            # S@5.0 and S@4.5 each join R@5.0 (seq visibility); the
+            # refused R stragglers produce nothing
+            assert len(runtime.results("q")) == 2
 
-    def test_raise_is_still_the_default(self):
-        from repro.engine import LateArrivalError
-
+    def test_raise_is_the_only_policy(self):
         query, topology, windows, *_ = small_topology()
         runtime = TopologyRuntime(
             topology, windows, RuntimeConfig(disorder_bound=1.0)
@@ -209,19 +223,18 @@ class TestBareRuntimeLateDrop:
         with pytest.raises(LateArrivalError):
             runtime.run(self._feed())
 
-    def test_late_dropped_parity_with_session(self):
-        """The bare runtime's drop policy and the session's produce the
-        same `late_dropped` count and the same result set on one feed."""
+    def test_catch_and_continue_parity_with_session_drop(self):
+        """Catching the bare runtime's rejections and the session's
+        ``on_late="drop"`` skip the same tuples: same count, same result
+        set, same ingested inputs."""
         from repro import JoinSession
         from repro.engine import result_keys
 
         query, topology, windows, *_ = small_topology()
         runtime = TopologyRuntime(
-            topology,
-            windows,
-            RuntimeConfig(disorder_bound=1.0, on_late="drop"),
+            topology, windows, RuntimeConfig(disorder_bound=1.0)
         )
-        runtime.run(self._feed())
+        caught = self._run_catching(runtime)
 
         session = JoinSession(window=4.0, disorder_bound=1.0, on_late="drop")
         session.add_query("q", "R.a=S.a")
@@ -229,7 +242,7 @@ class TestBareRuntimeLateDrop:
             session.push(tup.trigger, {"a": tup.values[f"{tup.trigger}.a"]},
                          ts=tup.trigger_ts)
         session.flush()
-        assert session.metrics.late_dropped == runtime.metrics.late_dropped == 2
+        assert session.metrics.late_dropped == caught == 2
         assert result_keys(session.results("q")) == result_keys(
             runtime.results("q")
         )

@@ -158,7 +158,6 @@ def test_option_surface_is_a_reviewed_list():
         "disorder_bound",
         "store_backend",
         "vectorized_cascades",
-        "on_late",
         "workers",
     ]
 

@@ -187,6 +187,33 @@ class TestCrashRecoveryDifferential:
         ]
         assert restored.verify().ok
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_before_the_first_push_plans_at_the_first_push(
+        self, tmp_path, workers
+    ):
+        def build():
+            return JoinSession(
+                window=5.0, workers=workers, worker_transport="inline"
+            ).add_query("q1", "R.a=S.a", "S.b=T.b")
+
+        baseline = build()
+        feed(baseline, 0, 40)
+
+        path = tmp_path / "unplanned.snap"
+        build().checkpoint(path)
+        restored = JoinSession.restore(path)
+        assert restored.plan is None and restored.metrics is None
+        feed(restored, 0, 40)
+        assert restored.plan is not None
+        assert restored.pushed == baseline.pushed
+        assert [r.key() for r in restored.results("q1")] == [
+            r.key() for r in baseline.results("q1")
+        ]
+        assert restored.metrics.summary() == baseline.metrics.summary()
+        assert restored.verify().ok
+        restored.close()
+        baseline.close()
+
     def test_restore_resumes_adaptive_epoch_schedule(self, tmp_path):
         def build():
             return JoinSession(
